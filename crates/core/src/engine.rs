@@ -1176,10 +1176,11 @@ pub fn run_rank<F: ProgramFactory>(
 /// Run a full simulated-MPI computation: `num_ranks` ranks, each with
 /// `config.num_workers` workers, sharing one program factory.
 ///
-/// Since the persistent-universe refactor this is a thin one-epoch
-/// wrapper over [`crate::Universe`]: launch, run a single epoch,
-/// shut down. Multi-epoch workloads should hold a
-/// [`crate::Universe`] instead and pay the launch cost once.
+/// The one-shot form: [`jsweep_comm::Universe::run`] spawns one thread
+/// per rank, each of which runs [`run_rank`] — launch, a single
+/// epoch, shutdown — and the per-rank stats are returned in rank
+/// order. Multi-epoch workloads should hold a [`crate::Universe`]
+/// instead and pay the launch cost once.
 pub fn run_universe<F: ProgramFactory>(
     num_ranks: usize,
     factory: Arc<F>,

@@ -43,7 +43,8 @@
 //! iteration (programs are re-armed in place via
 //! [`PatchProgram::reset`] with an opaque [`EpochInput`]), then
 //! [`Universe::shutdown`]. [`run_universe`] remains as the one-epoch
-//! convenience wrapper.
+//! convenience form: one [`run_rank`] per rank on the threads of a
+//! [`jsweep_comm::Universe::run`] world.
 
 pub mod engine;
 pub mod fault;

@@ -57,8 +57,7 @@ pub fn fabric_for(kind: TransportKind) -> CommFabric {
 /// Per-epoch overrides of the worker batching knobs (`None` keeps the
 /// previous value). Lets one resident universe run a recording epoch
 /// with fine-path batching and replay epochs with replay-tuned
-/// batching, matching the per-mode `RuntimeConfig`s the respawning
-/// solver used.
+/// batching.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EpochTuning {
     /// Override for [`RuntimeConfig::report_flush_streams`].

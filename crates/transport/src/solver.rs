@@ -23,10 +23,11 @@ use crate::replay::{
     build_plan, collect_traces, new_trace_bins, plan_key, CoarsePlan, PlanCache, PlanKey, TraceBins,
 };
 use crate::xs::MaterialSet;
+use jsweep_comm::Comm;
 use jsweep_core::fault::{EpochFault, FaultPlan};
 use jsweep_core::telemetry::EventKind;
 use jsweep_core::{
-    fabric_for, run_universe, EpochTuning, RunStats, RuntimeConfig, SpmdRank, TelemetryHandle,
+    fabric_for, EpochInput, EpochTuning, RunStats, RuntimeConfig, SpmdRank, TelemetryHandle,
     TerminationKind, TransportKind, Universe,
 };
 use jsweep_graph::coarse::ClusterTrace;
@@ -81,15 +82,6 @@ pub struct SnConfig {
     /// scheduling. Bit-identical flux either way; `false` keeps every
     /// iteration on the fine DAG path.
     pub coarsen: bool,
-    /// Persistent universe (parallel solver, default on): launch one
-    /// resident runtime ([`jsweep_core::Universe`]) for the whole
-    /// solve and run every source iteration as an epoch against the
-    /// same live programs — no per-iteration thread spawn/teardown, no
-    /// program reallocation. `false` respawns a one-shot
-    /// [`run_universe`] per iteration (the pre-persistent behaviour,
-    /// kept for goldens and the `universe` bench). Bit-identical flux
-    /// either way.
-    pub resident: bool,
     /// Epoch watchdog deadline (default off): a rank whose pool holds
     /// active work but makes no progress for this long converts the
     /// hang into an [`EpochFault`] instead of blocking the epoch
@@ -124,7 +116,6 @@ impl Default for SnConfig {
             termination: TerminationKind::Counting,
             break_cycles: false,
             coarsen: true,
-            resident: true,
             watchdog: None,
             fault_plan: None,
             transport: TransportKind::default(),
@@ -329,78 +320,6 @@ fn topological_order<T: SweepTopology + ?Sized>(
     order
 }
 
-/// Run one parallel sweep iteration in the given scheduling mode:
-/// build the factory, run the universe, fold the per-(patch, angle)
-/// flux contributions in angle order (schedule-independent
-/// floating-point result). Returns the aggregated stats and `φ_new`.
-fn sweep_iteration<T: SweepTopology + Send + Sync + 'static>(
-    mesh: &Arc<T>,
-    problem: &Arc<SweepProblem>,
-    quadrature: &QuadratureSet,
-    materials: &Arc<MaterialSet>,
-    config: &SnConfig,
-    phi: &[f64],
-    mode: SweepMode,
-) -> (RunStats, Vec<f64>) {
-    let n = mesh.num_cells();
-    let groups = materials.num_groups();
-    let num_ranks = problem.patches.num_ranks();
-    let emission = Arc::new(emission_density(materials, phi));
-    let flux_bins = Arc::new(FluxBins::new(problem.num_patches()));
-    let runtime = match &mode {
-        // Default batching knobs: frame aggregation + report batching
-        // are pure overhead wins for fine-grained sweeps.
-        SweepMode::Fine { .. } => RuntimeConfig {
-            num_workers: config.workers_per_rank,
-            termination: config.termination,
-            watchdog: config.watchdog,
-            fault_plan: config.fault_plan.clone(),
-            telemetry: config.telemetry.clone(),
-            ..Default::default()
-        },
-        // Replay iterations issue far fewer, larger compute calls and
-        // far fewer streams; measurement (see REPLAY_CLAIM_BATCH /
-        // REPLAY_REPORT_FLUSH_STREAMS) favours batching reports even
-        // harder than the fine path, not less.
-        SweepMode::Coarse { .. } => RuntimeConfig {
-            num_workers: config.workers_per_rank,
-            termination: config.termination,
-            claim_batch: REPLAY_CLAIM_BATCH,
-            report_flush_streams: REPLAY_REPORT_FLUSH_STREAMS,
-            watchdog: config.watchdog,
-            fault_plan: config.fault_plan.clone(),
-            telemetry: config.telemetry.clone(),
-            ..Default::default()
-        },
-    };
-    let factory = Arc::new(SweepFactory::new(SweepSetup {
-        mesh: mesh.clone(),
-        problem: problem.clone(),
-        quadrature: quadrature.clone(),
-        materials: materials.clone(),
-        emission,
-        kernel: config.kernel,
-        grain: config.grain,
-        flux_bins: flux_bins.clone(),
-        mode,
-    }));
-    let stats = if config.transport == TransportKind::Thread {
-        run_universe(num_ranks, factory, runtime)
-    } else {
-        // One-shot universe over the configured fabric (run_universe
-        // is hard-wired to the thread world).
-        let mut u =
-            Universe::launch_with_fabric(num_ranks, factory, runtime, fabric_for(config.transport));
-        let stats = u
-            .run_epoch(Arc::new(()))
-            .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
-        u.shutdown();
-        stats
-    };
-    let phi_new = flux_bins.fold(problem, n, groups);
-    (RunStats::aggregate(&stats), phi_new)
-}
-
 /// The per-epoch batching tuning matching `mode` (see
 /// [`REPLAY_CLAIM_BATCH`] / [`REPLAY_REPORT_FLUSH_STREAMS`] for the
 /// replay measurements; fine epochs run the `RuntimeConfig` defaults).
@@ -456,11 +375,11 @@ fn select_mode(
 /// [`RunStats`] breakdown visibly reduced. To reuse the plan *across*
 /// solves, use [`solve_parallel_cached`].
 ///
-/// With [`SnConfig::resident`] (also the default), all of this runs
-/// inside **one persistent universe** ([`jsweep_core::Universe`]):
-/// rank threads, workers and every `SweepProgram` are launched once
-/// and every source iteration is an epoch against the same live
-/// programs — see `docs/replay.md` for the epoch lifecycle.
+/// All of this runs inside **one persistent universe**
+/// ([`jsweep_core::Universe`]): rank threads, workers and every
+/// `SweepProgram` are launched once and every source iteration is an
+/// epoch against the same live programs — see `docs/replay.md` for the
+/// epoch lifecycle.
 pub fn solve_parallel<T: SweepTopology + Send + Sync + 'static>(
     mesh: Arc<T>,
     problem: Arc<SweepProblem>,
@@ -468,7 +387,8 @@ pub fn solve_parallel<T: SweepTopology + Send + Sync + 'static>(
     materials: Arc<MaterialSet>,
     config: &SnConfig,
 ) -> SnSolution {
-    solve_parallel_impl(mesh, problem, quadrature, materials, config, None)
+    let world = EpochWorld::new(mesh, problem, quadrature.clone(), config.clone());
+    solve_on(world, materials, None)
 }
 
 /// [`solve_parallel`] with a cross-solve [`PlanCache`].
@@ -494,13 +414,33 @@ pub fn solve_parallel_cached<T: SweepTopology + Send + Sync + 'static>(
     config: &SnConfig,
     cache: &PlanCache,
 ) -> SnSolution {
-    solve_parallel_impl(mesh, problem, quadrature, materials, config, Some(cache))
+    let world = EpochWorld::new(mesh, problem, quadrature.clone(), config.clone());
+    solve_on(world, materials, Some(cache))
+}
+
+/// What an [`EpochWorld`] runs its epochs on: every rank in this
+/// process, or this process's one rank of an SPMD world. Either runner
+/// launches on the world's first epoch, from that epoch's factory.
+enum EpochRunner<T: SweepTopology + Send + Sync + 'static> {
+    /// A resident [`Universe`] of every rank over
+    /// [`SnConfig::transport`] (`None` until the first epoch, and again
+    /// after a retire).
+    Local(Option<Universe>),
+    /// One rank over a caller-supplied process-grade comm: the comm is
+    /// held until the first epoch launches the rank over it, and every
+    /// epoch's locally folded flux is completed by an allreduce.
+    Spmd {
+        comm: Option<Comm>,
+        rank: Option<Box<SpmdRank<SweepFactory<T>>>>,
+    },
 }
 
 /// The resident scheduling world parallel solves run epochs against:
 /// one problem shape (mesh + decomposition + quadrature + solver
-/// knobs), one set of shared flux bins, and at most one resident
-/// [`Universe`]. [`solve_parallel_impl`] builds one per solve; a
+/// knobs), one set of shared flux bins, and at most one live
+/// [`EpochRunner`]. Solo solves ([`solve_parallel`]), SPMD ranks
+/// ([`solve_parallel_spmd`]) and trace recording
+/// ([`record_cluster_traces`]) build one per call; a
 /// [`crate::session::SolverSession`] keeps one alive across many
 /// queued solves and retires it only on shutdown or refinement.
 pub(crate) struct EpochWorld<T: SweepTopology + Send + Sync + 'static> {
@@ -510,24 +450,35 @@ pub(crate) struct EpochWorld<T: SweepTopology + Send + Sync + 'static> {
     pub(crate) config: SnConfig,
     flux_bins: Arc<FluxBins>,
     base: RuntimeConfig,
-    universe: Option<Universe>,
+    runner: EpochRunner<T>,
     /// Group count the resident programs were built with (`None` while
-    /// no universe is live). Resident programs cannot change their
-    /// group count ([`crate::program::SweepEpoch::materials`]), so a
-    /// session must reject mismatched requests before they reach the
-    /// runtime.
+    /// no runner is live). Resident programs cannot change their group
+    /// count ([`crate::program::SweepEpoch::materials`]), so a session
+    /// must reject mismatched requests before they reach the runtime.
     resident_groups: Option<usize>,
     /// Cache key of this world's replay plan; `None` with coarsening
-    /// off.
+    /// off, and always `None` in an SPMD world.
     key: Option<PlanKey>,
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
+    /// A world whose ranks all run in this process.
     pub(crate) fn new(
         mesh: Arc<T>,
         problem: Arc<SweepProblem>,
         quadrature: QuadratureSet,
         config: SnConfig,
+    ) -> Self {
+        Self::with_runner(mesh, problem, quadrature, config, EpochRunner::Local(None))
+    }
+
+    /// A world whose epochs run on `runner`.
+    fn with_runner(
+        mesh: Arc<T>,
+        problem: Arc<SweepProblem>,
+        quadrature: QuadratureSet,
+        config: SnConfig,
+        runner: EpochRunner<T>,
     ) -> Self {
         assert_eq!(
             mesh.generation(),
@@ -543,7 +494,13 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
             telemetry: config.telemetry.clone(),
             ..Default::default()
         };
-        let key = config.coarsen.then(|| plan_key(&problem, config.grain));
+        // SPMD worlds run the fine path only: a rank's flux bins and
+        // trace bins see only its own patches, while replay recording
+        // and plan compilation assume the whole problem's traces in one
+        // process. Without a key no epoch records and no plan is looked
+        // up, so [`SnConfig::coarsen`] is moot there.
+        let local = matches!(runner, EpochRunner::Local(_));
+        let key = (config.coarsen && local).then(|| plan_key(&problem, config.grain));
         EpochWorld {
             mesh,
             problem,
@@ -551,7 +508,7 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
             config,
             flux_bins,
             base,
-            universe: None,
+            runner,
             resident_groups: None,
             key,
         }
@@ -613,9 +570,12 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
         }
     }
 
-    /// Whether a resident universe is currently live.
+    /// Whether a runner is currently live.
     pub(crate) fn has_universe(&self) -> bool {
-        self.universe.is_some()
+        match &self.runner {
+            EpochRunner::Local(u) => u.is_some(),
+            EpochRunner::Spmd { rank, .. } => rank.is_some(),
+        }
     }
 
     /// Group count of the live resident programs, if any.
@@ -623,14 +583,19 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
         self.resident_groups
     }
 
-    /// Shut the resident universe down (idempotent). Scrubs the flux
-    /// bins afterwards: a retire forced by a fault abandons in-flight
+    /// Shut the live runner down (idempotent). Scrubs the flux bins
+    /// afterwards: a retire forced by a fault abandons in-flight
     /// programs, and those keep depositing until the join — so the
     /// authoritative scrub can only happen here, after every thread
     /// is gone. (After a healthy epoch the bins are already empty.)
+    /// An SPMD rank closes its endpoint gracefully and cannot be
+    /// launched again.
     pub(crate) fn retire(&mut self) {
-        if let Some(mut u) = self.universe.take() {
-            u.shutdown();
+        let live = match &mut self.runner {
+            EpochRunner::Local(u) => u.take().map(|mut u| u.shutdown()),
+            EpochRunner::Spmd { rank, .. } => rank.take().map(|r| r.shutdown()),
+        };
+        if live.is_some() {
             self.clear_flux_bins();
         }
         self.resident_groups = None;
@@ -653,11 +618,97 @@ impl<T: SweepTopology + Send + Sync + 'static> EpochWorld<T> {
     pub fn fresh_flux_allocations(&self) -> u64 {
         self.flux_bins.fresh_allocations()
     }
+
+    /// Run one sweep epoch in `mode` against the emission of `phi`:
+    /// launch the runner if this is its first epoch, fold the
+    /// per-(patch, angle) flux contributions in angle order (a
+    /// schedule-independent floating-point result) and, in an SPMD
+    /// world, complete the fold across ranks. Returns the epoch's stats
+    /// (aggregated over this process's ranks) and `φ_new`.
+    ///
+    /// `Err` means the epoch was poisoned: the shared bins are scrubbed
+    /// of its partial deposits and the faulted runner is left for the
+    /// caller to retry, relaunch or retire.
+    fn run_epoch(
+        &mut self,
+        materials: &Arc<MaterialSet>,
+        phi: &[f64],
+        mode: SweepMode,
+        span: u64,
+    ) -> Result<(RunStats, Vec<f64>), EpochFault> {
+        let groups = materials.num_groups();
+        let emission = Arc::new(emission_density(materials, phi));
+        let tuning = EpochTuning {
+            span,
+            ..tuning_for(&mode, &self.base)
+        };
+        // Programs the first epoch creates start from the factory;
+        // resident ones adopt the epoch input on reset. The input
+        // carries the materials so a program built for an earlier
+        // request adopts this solve's cross sections.
+        let factory = || {
+            Arc::new(SweepFactory::new(SweepSetup {
+                mesh: self.mesh.clone(),
+                problem: self.problem.clone(),
+                quadrature: self.quadrature.clone(),
+                materials: materials.clone(),
+                emission: emission.clone(),
+                kernel: self.config.kernel,
+                grain: self.config.grain,
+                flux_bins: self.flux_bins.clone(),
+                mode: mode.clone(),
+            }))
+        };
+        let input: Arc<EpochInput> = Arc::new(SweepEpoch {
+            emission: emission.clone(),
+            mode: mode.clone(),
+            materials: Some(materials.clone()),
+        });
+        self.resident_groups = Some(groups);
+        let stats = match &mut self.runner {
+            EpochRunner::Local(universe) => universe
+                .get_or_insert_with(|| {
+                    Universe::launch_with_fabric(
+                        self.problem.patches.num_ranks(),
+                        factory(),
+                        self.base.clone(),
+                        fabric_for(self.config.transport),
+                    )
+                })
+                .run_epoch_tuned(input, tuning)
+                .map(|s| RunStats::aggregate(&s)),
+            EpochRunner::Spmd { comm, rank } => rank
+                .get_or_insert_with(|| {
+                    let comm = comm.take().expect("SPMD rank already retired");
+                    Box::new(SpmdRank::launch(comm, factory(), &self.base))
+                })
+                .run_epoch(&input, tuning),
+        };
+        let stats = match stats {
+            Ok(s) => s,
+            Err(f) => {
+                self.clear_flux_bins();
+                return Err(f);
+            }
+        };
+        let mut phi_new = self
+            .flux_bins
+            .fold(&self.problem, self.mesh.num_cells(), groups);
+        if let EpochRunner::Spmd { rank: Some(r), .. } = &mut self.runner {
+            // This rank's bins hold only its own patches' disjoint
+            // share; the rank-ordered reduction completes the global
+            // iterate bit-identically to the single-process fold.
+            r.comm_mut()
+                .allreduce_sum_f64_slice(&mut phi_new)
+                .unwrap_or_else(|e| panic!("flux reduction failed: {e}"));
+        }
+        Ok((stats, phi_new))
+    }
 }
 
 /// Mutable state of one in-flight solve: the flux iterate, its
 /// convergence trackers, and the replay plan it records or replays.
-/// One per queued request in a session; [`solve_parallel_impl`] owns
+/// One per queued request in a session; [`solve_on`] owns
 /// exactly one.
 pub(crate) struct SolveProgress {
     pub(crate) materials: Arc<MaterialSet>,
@@ -700,14 +751,13 @@ pub(crate) struct EpochOutcome {
 }
 
 /// Run exactly one source iteration of `progress` against `world`:
-/// pick the scheduling mode, run the sweep as an epoch of the resident
-/// universe (launching it lazily on the first epoch; the non-resident
-/// configuration spawns a one-shot runtime instead), fold the flux,
-/// update the convergence trackers, and compile/store the replay plan
-/// when this was the recording iteration. This is the loop body of
-/// [`solve_parallel`], exposed step-wise so a
+/// pick the scheduling mode, run the sweep as one epoch of the world's
+/// runner ([`EpochWorld::run_epoch`]), update the convergence trackers,
+/// and compile/store the replay plan when this was the recording
+/// iteration. This is the loop body of every parallel solve — solo,
+/// SPMD and session — exposed step-wise so a
 /// [`crate::session::SolverSession`] can interleave epochs of many
-/// concurrent solves on one world — running a request's epochs through
+/// concurrent solves on one world. Running a request's epochs through
 /// this function back-to-back is *exactly* a [`solve_parallel_cached`]
 /// call, which is what makes session results bit-identical to solo
 /// solves.
@@ -725,73 +775,14 @@ pub(crate) fn advance_one_epoch<T: SweepTopology + Send + Sync + 'static>(
     progress: &mut SolveProgress,
     cache: Option<&PlanCache>,
 ) -> Result<EpochOutcome, EpochFault> {
-    let n = world.mesh.num_cells();
-    let groups = progress.materials.num_groups();
     let (mode, bins) = select_mode(
         &progress.plan,
-        world.config.coarsen,
+        world.key.is_some(),
         world.problem.num_tasks(),
     );
     let replayed = matches!(mode, SweepMode::Coarse { .. });
-    let (stats, phi_new) = if world.config.resident {
-        let emission = Arc::new(emission_density(&progress.materials, &progress.phi));
-        let materials = progress.materials.clone();
-        let u = world.universe.get_or_insert_with(|| {
-            let factory = Arc::new(SweepFactory::new(SweepSetup {
-                mesh: world.mesh.clone(),
-                problem: world.problem.clone(),
-                quadrature: world.quadrature.clone(),
-                materials: materials.clone(),
-                emission: emission.clone(),
-                kernel: world.config.kernel,
-                grain: world.config.grain,
-                flux_bins: world.flux_bins.clone(),
-                mode: mode.clone(),
-            }));
-            Universe::launch_with_fabric(
-                world.problem.patches.num_ranks(),
-                factory,
-                world.base.clone(),
-                fabric_for(world.config.transport),
-            )
-        });
-        world.resident_groups = Some(groups);
-        let mut tuning = tuning_for(&mode, &world.base);
-        tuning.span = progress.span;
-        // The epoch input carries the materials so a resident program
-        // built for an earlier request adopts this solve's cross
-        // sections on reset (first-epoch programs get them through the
-        // factory instead).
-        let rank_stats = match u.run_epoch_tuned(
-            Arc::new(SweepEpoch {
-                emission,
-                mode,
-                materials: Some(materials),
-            }),
-            tuning,
-        ) {
-            Ok(s) => s,
-            Err(f) => {
-                // Abandoned programs may have deposited a subset of
-                // this epoch's flux; scrub it so the bins are clean
-                // for whatever the caller runs next.
-                world.clear_flux_bins();
-                return Err(f);
-            }
-        };
-        let phi_new = world.flux_bins.fold(&world.problem, n, groups);
-        (RunStats::aggregate(&rank_stats), phi_new)
-    } else {
-        sweep_iteration(
-            &world.mesh,
-            &world.problem,
-            &world.quadrature,
-            &progress.materials,
-            &world.config,
-            &progress.phi,
-            mode,
-        )
-    };
+    let (stats, phi_new) =
+        world.run_epoch(&progress.materials, &progress.phi, mode, progress.span)?;
     progress.stats.push(stats);
 
     progress.iterations += 1;
@@ -832,28 +823,26 @@ pub(crate) fn advance_one_epoch<T: SweepTopology + Send + Sync + 'static>(
     Ok(EpochOutcome { done, replayed })
 }
 
-fn solve_parallel_impl<T: SweepTopology + Send + Sync + 'static>(
-    mesh: Arc<T>,
-    problem: Arc<SweepProblem>,
-    quadrature: &QuadratureSet,
+/// Drive one solve on `world` to completion: the source-iteration loop
+/// of every public parallel entry point.
+fn solve_on<T: SweepTopology + Send + Sync + 'static>(
+    mut world: EpochWorld<T>,
     materials: Arc<MaterialSet>,
-    config: &SnConfig,
     cache: Option<&PlanCache>,
 ) -> SnSolution {
-    let mut world = EpochWorld::new(mesh, problem, quadrature.clone(), config.clone());
-    let mut progress = world.begin_solve(materials, config.max_iterations, config.tolerance, cache);
+    let (max_iterations, tolerance) = (world.config.max_iterations, world.config.tolerance);
+    let mut progress = world.begin_solve(materials, max_iterations, tolerance, cache);
     while progress.iterations < progress.max_iterations {
-        // The solo API keeps fail-fast semantics: there is exactly one
-        // request, so nothing is saved by containing its fault. The
-        // session driver is the caller that maps `Err` to a per-ticket
-        // failure instead.
+        // Fail fast: a solo solve has exactly one request, so nothing
+        // is saved by containing its fault (the session driver is the
+        // caller that maps `Err` to a per-ticket failure instead). The
+        // unwind drops the world: a local universe still joins every
+        // thread, and an SPMD rank's endpoint closes without its
+        // clean-exit marker, which is how its peers observe the death.
         match advance_one_epoch(&mut world, &mut progress, cache) {
             Ok(o) if o.done => break,
             Ok(_) => {}
-            Err(f) => {
-                world.retire();
-                panic!("sweep epoch faulted: {f}");
-            }
+            Err(f) => panic!("sweep epoch faulted: {f}"),
         }
     }
     world.retire();
@@ -861,15 +850,15 @@ fn solve_parallel_impl<T: SweepTopology + Send + Sync + 'static>(
 }
 
 /// One rank's share of a parallel solve, for worlds where ranks are
-/// **separate processes** connected by a process-grade [`jsweep_comm::Comm`]
+/// **separate processes** connected by a process-grade [`Comm`]
 /// (typically [`jsweep_comm::socket::SocketUniverse::connect`]).
 ///
 /// Every process calls this with the *same* mesh, problem, quadrature,
-/// materials and config, plus its own endpoint; the function runs the
-/// full source-iteration loop SPMD-style — each iteration sweeps this
-/// rank's patches as one epoch of a resident [`SpmdRank`], folds the
-/// local flux contributions, and completes the iterate with
-/// [`jsweep_comm::Comm::allreduce_sum_f64_slice`] (per-patch supports are disjoint
+/// materials and config, plus its own endpoint. The solve runs the
+/// same source-iteration loop as [`solve_parallel`], with this rank's
+/// patches swept as epochs of one resident [`SpmdRank`]; each epoch's
+/// local flux fold is completed with
+/// [`Comm::allreduce_sum_f64_slice`] (per-patch supports are disjoint
 /// and the reduction accumulates in rank order, so the summed flux is
 /// bit-identical to the single-process solve's angle-ordered fold).
 /// Convergence decisions are therefore identical in every process, and
@@ -884,88 +873,27 @@ fn solve_parallel_impl<T: SweepTopology + Send + Sync + 'static>(
 /// Fail-fast like [`solve_parallel`]: a poisoned epoch or a dead peer
 /// panics this process (peers then observe the death through the
 /// transport). Session-tier containment wraps the thread-backed
-/// universe instead.
+/// universe instead. Also panics, like [`solve_parallel`], when
+/// `problem` was built on a different mesh generation.
 pub fn solve_parallel_spmd<T: SweepTopology + Send + Sync + 'static>(
     mesh: Arc<T>,
     problem: Arc<SweepProblem>,
     quadrature: &QuadratureSet,
     materials: Arc<MaterialSet>,
     config: &SnConfig,
-    comm: jsweep_comm::Comm,
+    comm: Comm,
 ) -> SnSolution {
-    let n = mesh.num_cells();
-    let groups = materials.num_groups();
-    assert_eq!(materials.num_cells(), n, "materials must cover the mesh");
     assert_eq!(
         comm.size(),
         problem.patches.num_ranks(),
         "comm world size must match the problem's rank decomposition"
     );
-    let flux_bins = Arc::new(FluxBins::new(problem.num_patches()));
-    let base = RuntimeConfig {
-        num_workers: config.workers_per_rank,
-        termination: config.termination,
-        watchdog: config.watchdog,
-        fault_plan: config.fault_plan.clone(),
-        telemetry: config.telemetry.clone(),
-        ..Default::default()
+    let runner = EpochRunner::Spmd {
+        comm: Some(comm),
+        rank: None,
     };
-    let mut phi = vec![0.0; n * groups];
-    let factory = Arc::new(SweepFactory::new(SweepSetup {
-        mesh: mesh.clone(),
-        problem: problem.clone(),
-        quadrature: quadrature.clone(),
-        materials: materials.clone(),
-        emission: Arc::new(emission_density(&materials, &phi)),
-        kernel: config.kernel,
-        grain: config.grain,
-        flux_bins: flux_bins.clone(),
-        mode: SweepMode::Fine { trace_bins: None },
-    }));
-    let tuning = EpochTuning {
-        report_flush_streams: Some(base.report_flush_streams),
-        claim_batch: Some(base.claim_batch),
-        ..Default::default()
-    };
-    let mut rank = SpmdRank::launch(comm, factory, &base);
-    let mut iterations = 0;
-    let mut residual = f64::INFINITY;
-    let mut stats = Vec::new();
-    for _ in 0..config.max_iterations {
-        // The first epoch runs the factory-fresh programs (which carry
-        // this emission already); later epochs adopt it through reset.
-        let input: Arc<jsweep_core::EpochInput> = Arc::new(SweepEpoch {
-            emission: Arc::new(emission_density(&materials, &phi)),
-            mode: SweepMode::Fine { trace_bins: None },
-            materials: Some(materials.clone()),
-        });
-        let rank_stats = rank
-            .run_epoch(&input, tuning)
-            .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
-        stats.push(rank_stats);
-        // Local patches deposited into their bins; remote patches' bins
-        // are empty, so the fold yields this rank's disjoint share and
-        // the rank-ordered reduction completes the global iterate.
-        let mut phi_new = flux_bins.fold(&problem, n, groups);
-        rank.comm_mut()
-            .allreduce_sum_f64_slice(&mut phi_new)
-            .unwrap_or_else(|e| panic!("flux reduction failed: {e}"));
-        iterations += 1;
-        residual = relative_change(&phi_new, &phi);
-        phi = phi_new;
-        if residual < config.tolerance {
-            break;
-        }
-    }
-    rank.shutdown();
-    SnSolution {
-        phi,
-        iterations,
-        residual,
-        stats,
-        coarse_build_seconds: 0.0,
-        plan_from_cache: false,
-    }
+    let world = EpochWorld::with_runner(mesh, problem, quadrature.clone(), config.clone(), runner);
+    solve_on(world, materials, None)
 }
 
 /// Run a single fine-mode parallel sweep iteration (zero incoming
@@ -985,18 +913,15 @@ pub fn record_cluster_traces<T: SweepTopology + Send + Sync + 'static>(
     config: &SnConfig,
 ) -> Vec<Vec<ClusterTrace>> {
     let bins = Arc::new(new_trace_bins(problem.num_tasks()));
+    let mode = SweepMode::Fine {
+        trace_bins: Some(bins.clone()),
+    };
     let phi = vec![0.0; mesh.num_cells() * materials.num_groups()];
-    let _ = sweep_iteration(
-        &mesh,
-        &problem,
-        quadrature,
-        &materials,
-        config,
-        &phi,
-        SweepMode::Fine {
-            trace_bins: Some(bins.clone()),
-        },
-    );
+    let mut world = EpochWorld::new(mesh, problem.clone(), quadrature.clone(), config.clone());
+    world
+        .run_epoch(&materials, &phi, mode, 0)
+        .unwrap_or_else(|f| panic!("sweep epoch faulted: {f}"));
+    world.retire();
     let mut traces = collect_traces(&problem, &bins);
     // Only canonical angles record; fill octant members with their
     // canonical trace (valid for the shared DAG) so every angle's

@@ -660,11 +660,12 @@ fn deformed_mesh_parallel_matches_serial_with_cycle_breaking() {
 }
 
 #[test]
-fn resident_universe_bit_identical_to_respawned_structured() {
+fn resident_universe_replay_matches_fine_and_serial_structured() {
     // Persistent-universe golden: one resident runtime running every
-    // source iteration as an epoch must produce the same flux *bit for
-    // bit* as respawning a one-shot `run_universe` per iteration —
-    // under both termination detectors, with replay on.
+    // source iteration as an epoch — recording on iteration 1, then
+    // replaying the coarse plan — must produce the same flux *bit for
+    // bit* as the fine path on every epoch, and match the serial
+    // oracle, under both termination detectors.
     let mesh = Arc::new(StructuredMesh::unit(8, 8, 8));
     let quad = QuadratureSet::sn(2);
     let mats = Arc::new(MaterialSet::homogeneous(
@@ -681,41 +682,31 @@ fn resident_universe_bit_identical_to_respawned_structured() {
             ..Default::default()
         },
     ));
+    let serial = solve_serial(mesh.as_ref(), &quad, &mats, &config());
     for termination in [TerminationKind::Counting, TerminationKind::Safra] {
-        let mut respawned_cfg = config();
-        respawned_cfg.termination = termination;
-        respawned_cfg.resident = false;
-        let mut resident_cfg = respawned_cfg.clone();
-        resident_cfg.resident = true;
-        let respawned = solve_parallel(
-            mesh.clone(),
-            prob.clone(),
-            &quad,
-            mats.clone(),
-            &respawned_cfg,
-        );
-        let resident = solve_parallel(
-            mesh.clone(),
-            prob.clone(),
-            &quad,
-            mats.clone(),
-            &resident_cfg,
-        );
+        let mut replay_cfg = config();
+        replay_cfg.termination = termination;
+        let mut fine_cfg = replay_cfg.clone();
+        fine_cfg.coarsen = false;
+        let fine = solve_parallel(mesh.clone(), prob.clone(), &quad, mats.clone(), &fine_cfg);
+        let replay = solve_parallel(mesh.clone(), prob.clone(), &quad, mats.clone(), &replay_cfg);
         assert_eq!(
-            respawned.phi, resident.phi,
-            "resident universe flux must be bit-identical ({termination:?})"
+            fine.phi, replay.phi,
+            "resident replay flux must be bit-identical to fine ({termination:?})"
         );
-        assert_eq!(respawned.iterations, resident.iterations);
-        assert!(resident.iterations >= 2, "need replay epochs to compare");
+        assert_flux_close(&replay.phi, &serial.phi, 1e-11);
+        assert_eq!(fine.iterations, replay.iterations);
+        assert_eq!(replay.iterations, serial.iterations);
+        assert!(replay.iterations >= 2, "need replay epochs to compare");
         // Same committed workload per iteration on both paths.
-        for (a, b) in respawned.stats.iter().zip(&resident.stats) {
+        for (a, b) in fine.stats.iter().zip(&replay.stats) {
             assert_eq!(a.work_done, b.work_done);
         }
     }
 }
 
 #[test]
-fn resident_universe_bit_identical_to_respawned_unstructured() {
+fn resident_universe_replay_matches_fine_and_serial_unstructured() {
     let mesh = Arc::new(jsweep::mesh::tetgen::ball(3, 1.0));
     let n = mesh.num_cells();
     let quad = QuadratureSet::sn(2);
@@ -730,34 +721,21 @@ fn resident_universe_bit_identical_to_respawned_unstructured() {
         &quad,
         &ProblemOptions::default(),
     ));
+    let serial = solve_serial(mesh.as_ref(), &quad, &mats, &config());
     for termination in [TerminationKind::Counting, TerminationKind::Safra] {
-        for coarsen in [true, false] {
-            let mut respawned_cfg = config();
-            respawned_cfg.termination = termination;
-            respawned_cfg.coarsen = coarsen;
-            respawned_cfg.resident = false;
-            let mut resident_cfg = respawned_cfg.clone();
-            resident_cfg.resident = true;
-            let respawned = solve_parallel(
-                mesh.clone(),
-                prob.clone(),
-                &quad,
-                mats.clone(),
-                &respawned_cfg,
-            );
-            let resident = solve_parallel(
-                mesh.clone(),
-                prob.clone(),
-                &quad,
-                mats.clone(),
-                &resident_cfg,
-            );
-            assert_eq!(
-                respawned.phi, resident.phi,
-                "resident flux mismatch ({termination:?}, coarsen {coarsen})"
-            );
-            assert_eq!(respawned.iterations, resident.iterations);
-        }
+        let mut replay_cfg = config();
+        replay_cfg.termination = termination;
+        let mut fine_cfg = replay_cfg.clone();
+        fine_cfg.coarsen = false;
+        let fine = solve_parallel(mesh.clone(), prob.clone(), &quad, mats.clone(), &fine_cfg);
+        let replay = solve_parallel(mesh.clone(), prob.clone(), &quad, mats.clone(), &replay_cfg);
+        assert_eq!(
+            fine.phi, replay.phi,
+            "resident replay flux mismatch ({termination:?})"
+        );
+        assert_flux_close(&replay.phi, &serial.phi, 1e-11);
+        assert_eq!(fine.iterations, replay.iterations);
+        assert_eq!(replay.iterations, serial.iterations);
     }
 }
 
@@ -776,9 +754,9 @@ fn multigroup16_material() -> Material {
 #[test]
 fn multigroup16_goldens_bit_identical_across_execution_modes() {
     // G=16 golden for the blocked kernel (two full GROUP_BLOCK=8
-    // blocks): fine, coarse-replay, cached-replay and respawned
-    // solves must all produce the *bit-identical* flux, for both
-    // kernel kinds, and match the scalar serial solver to 1e-11.
+    // blocks): fine, coarse-replay and cached-replay solves must all
+    // produce the *bit-identical* flux, for both kernel kinds, and
+    // match the scalar serial solver to 1e-11.
     use jsweep::transport::PlanCache;
     let mesh = Arc::new(StructuredMesh::unit(6, 6, 6));
     let quad = QuadratureSet::sn(2);
@@ -827,20 +805,8 @@ fn multigroup16_goldens_bit_identical_across_execution_modes() {
         assert!(c2.plan_from_cache, "second cached solve must hit the cache");
         assert_eq!(fine.phi, c1.phi, "G=16 fresh-plan flux ({kernel:?})");
         assert_eq!(fine.phi, c2.phi, "G=16 cached-replay flux ({kernel:?})");
-
-        let mut respawn_cfg = cfg.clone();
-        respawn_cfg.resident = false;
-        let respawned = solve_parallel(
-            mesh.clone(),
-            prob.clone(),
-            &quad,
-            mats.clone(),
-            &respawn_cfg,
-        );
-        assert_eq!(
-            fine.phi, respawned.phi,
-            "G=16 respawned flux must be bit-identical ({kernel:?})"
-        );
+        assert_eq!(replay.iterations, serial.iterations);
+        assert_flux_close(&replay.phi, &serial.phi, 1e-11);
     }
 }
 
@@ -944,8 +910,9 @@ fn resident_universe_multi_epoch_stress_leaves_no_stale_state() {
     //    in-degree counters or ready-heap entries would change it);
     //  * stream counts are identical across all replay epochs (stale
     //    staging or held reports would skew them);
-    //  * the flux stays bit-identical to the respawned path after 8
-    //    epochs of buffer reuse.
+    //  * after 8 epochs of buffer reuse the replay flux is still
+    //    bit-identical to the fine path's and both match the serial
+    //    oracle.
     let mesh = Arc::new(StructuredMesh::unit(8, 8, 8));
     let quad = QuadratureSet::sn(2);
     let mats = Arc::new(MaterialSet::homogeneous(
@@ -964,15 +931,17 @@ fn resident_universe_multi_epoch_stress_leaves_no_stale_state() {
     ));
     let epochs = 8;
     let committed = (512 * quad.len()) as u64;
+    let mut forced = config();
+    forced.max_iterations = epochs;
+    forced.tolerance = -1.0;
+    let serial = solve_serial(mesh.as_ref(), &quad, &mats, &forced);
+    assert_eq!(serial.iterations, epochs);
     for termination in [TerminationKind::Counting, TerminationKind::Safra] {
+        let mut phis = Vec::new();
         for coarsen in [true, false] {
-            let mut resident_cfg = config();
+            let mut resident_cfg = forced.clone();
             resident_cfg.termination = termination;
             resident_cfg.coarsen = coarsen;
-            resident_cfg.max_iterations = epochs;
-            resident_cfg.tolerance = -1.0;
-            let mut respawned_cfg = resident_cfg.clone();
-            respawned_cfg.resident = false;
             let resident = solve_parallel(
                 mesh.clone(),
                 prob.clone(),
@@ -1003,17 +972,12 @@ fn resident_universe_multi_epoch_stress_leaves_no_stale_state() {
                     );
                 }
             }
-            let respawned = solve_parallel(
-                mesh.clone(),
-                prob.clone(),
-                &quad,
-                mats.clone(),
-                &respawned_cfg,
-            );
-            assert_eq!(
-                respawned.phi, resident.phi,
-                "multi-epoch flux mismatch ({termination:?}, coarsen {coarsen})"
-            );
+            assert_flux_close(&resident.phi, &serial.phi, 1e-11);
+            phis.push(resident.phi);
         }
+        assert_eq!(
+            phis[0], phis[1],
+            "multi-epoch replay flux must be bit-identical to fine ({termination:?})"
+        );
     }
 }

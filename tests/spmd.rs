@@ -1,6 +1,8 @@
-//! True multi-process SPMD solve over the UNIX-socket transport.
+//! SPMD solves: one [`solve_parallel_spmd`] call per rank.
 //!
-//! The parent test re-executes this test binary four times (one child
+//! The in-process tests run every rank on a thread over the thread
+//! backend's endpoints. The multi-process test runs true SPMD over the
+//! UNIX-socket transport: the parent test re-executes this test binary four times (one child
 //! process per rank, selected with `--exact spmd_worker_entry`); each
 //! child rendezvouses through [`SocketUniverse::connect`], runs
 //! [`solve_parallel_spmd`] on its rank, and writes its converged scalar
@@ -44,7 +46,8 @@ fn spmd_materials() -> Arc<MaterialSet> {
 
 /// Fixed-iteration config so parent and children make identical
 /// convergence decisions. Fine-DAG path only: `solve_parallel_spmd`
-/// has no coarse replay, so the golden disables it too.
+/// has no coarse replay, so the golden disables it too (the in-process
+/// test below covers the default `coarsen: true`).
 fn spmd_config() -> SnConfig {
     SnConfig {
         grain: 16,
@@ -134,4 +137,83 @@ fn four_process_socket_solve_matches_thread_backend() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two ranks on threads, `coarsen` left at its default: every rank
+/// returns the global flux bit-identical to the single-process solve
+/// (which records and replays), while the SPMD ranks themselves stay
+/// on the fine path — no recording, no plan, no cache.
+#[test]
+fn in_process_spmd_ranks_match_solve_parallel_on_the_fine_path() {
+    let mesh = Arc::new(StructuredMesh::unit(8, 8, 8));
+    let quad = QuadratureSet::sn(2);
+    let problem = Arc::new(SweepProblem::build(
+        mesh.as_ref(),
+        decompose_structured(&mesh, (4, 4, 4), 2),
+        &quad,
+        &ProblemOptions::default(),
+    ));
+    let mats = Arc::new(MaterialSet::homogeneous(
+        512,
+        Material::uniform(1, 1.0, 0.5, 1.0),
+    ));
+    let config = SnConfig {
+        grain: 16,
+        max_iterations: 4,
+        tolerance: -1.0,
+        ..Default::default()
+    };
+    assert!(config.coarsen);
+    let golden = solve_parallel(mesh.clone(), problem.clone(), &quad, mats.clone(), &config);
+    assert_eq!(golden.iterations, 4);
+    let ranks: Vec<_> = jsweep::comm::Universe::endpoints(2)
+        .into_iter()
+        .map(|comm| {
+            let (mesh, problem, quad, mats, config) = (
+                mesh.clone(),
+                problem.clone(),
+                quad.clone(),
+                mats.clone(),
+                config.clone(),
+            );
+            std::thread::spawn(move || {
+                solve_parallel_spmd(mesh, problem, &quad, mats, &config, comm)
+            })
+        })
+        .collect();
+    for (rank, handle) in ranks.into_iter().enumerate() {
+        let sol = handle.join().expect("SPMD rank thread");
+        assert_eq!(sol.iterations, 4, "rank {rank}");
+        assert_eq!(
+            sol.phi, golden.phi,
+            "rank {rank}: SPMD flux diverges from solve_parallel"
+        );
+        assert!(!sol.plan_from_cache, "rank {rank}: SPMD never replays");
+        assert_eq!(
+            sol.coarse_build_seconds, 0.0,
+            "rank {rank}: SPMD compiles no replay plan"
+        );
+    }
+}
+
+/// The mesh-generation guard `solve_parallel` applies holds for SPMD
+/// ranks too: a problem built on another mesh is rejected up front.
+#[test]
+#[should_panic(expected = "mesh topology changed")]
+fn spmd_rejects_a_problem_built_on_another_mesh() {
+    let built_on = Arc::new(StructuredMesh::unit(4, 4, 4));
+    let solved_on = Arc::new(StructuredMesh::unit(4, 4, 4));
+    let quad = QuadratureSet::sn(2);
+    let problem = Arc::new(SweepProblem::build(
+        built_on.as_ref(),
+        decompose_structured(&built_on, (2, 2, 2), 1),
+        &quad,
+        &ProblemOptions::default(),
+    ));
+    let mats = Arc::new(MaterialSet::homogeneous(
+        64,
+        Material::uniform(1, 1.0, 0.5, 1.0),
+    ));
+    let comm = jsweep::comm::Universe::endpoints(1).pop().unwrap();
+    solve_parallel_spmd(solved_on, problem, &quad, mats, &spmd_config(), comm);
 }
