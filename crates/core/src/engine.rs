@@ -103,9 +103,8 @@ pub struct RuntimeConfig {
     /// default none. Inert unless the `fault-inject` cargo feature is
     /// enabled; see [`FaultPlan`].
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Telemetry attachment, default detached. Inert unless the
-    /// `telemetry` cargo feature is enabled *and* the attached
-    /// recorder is armed; see [`TelemetryHandle`].
+    /// Telemetry attachment, default detached. Records only while the
+    /// attached telemetry is armed; see [`TelemetryHandle`].
     pub telemetry: TelemetryHandle,
 }
 

@@ -1,14 +1,11 @@
-//! Runtime telemetry integration: the zero-cost-when-off seam between
-//! the engine and `jsweep-obs`.
+//! Runtime telemetry integration: the seam between the engine and
+//! [`obs`].
 //!
-//! Mirrors the `fault-inject` discipline exactly: with the `telemetry`
-//! cargo feature **off** (the default), every type here still exists
-//! — [`TelemetryHandle`] and [`Recorder`] become empty structs whose
-//! methods are `#[inline(always)]` no-ops, `jsweep-obs` is not even
-//! built, and the instrumented call sites compile to nothing. With the
-//! feature **on**, hooks additionally gate on the runtime arming
-//! atomic of the attached `jsweep_obs::Telemetry`: built-but-unarmed
-//! telemetry costs one relaxed atomic load per hook.
+//! Telemetry is always compiled in; recording is switched at run time.
+//! A detached [`TelemetryHandle`] (the default) records nowhere, and
+//! an attached one gates every hook on the arming atomic of its
+//! [`obs::Telemetry`]: attached-but-unarmed costs one relaxed atomic
+//! load per hook.
 //!
 //! The engine threads one [`TelemetryHandle`] through
 //! `RuntimeConfig`; every rank's master and workers obtain per-thread
@@ -16,171 +13,97 @@
 //! metrics registry. See `docs/observability.md` for the event
 //! taxonomy and exporter formats.
 
-#[cfg(feature = "telemetry")]
 use crate::stats::RunStats;
-#[cfg(feature = "telemetry")]
 use std::sync::Arc;
 
-/// Re-export of the observability crate (feature `telemetry` only),
-/// so consumers reach `Telemetry`, exporters and metric types without
-/// depending on `jsweep-obs` directly.
-#[cfg(feature = "telemetry")]
-pub use jsweep_obs as obs;
+pub mod obs;
 
-/// Typed event kinds (re-exported from `jsweep-obs`).
-#[cfg(feature = "telemetry")]
-pub use jsweep_obs::EventKind;
-
-/// Typed event kinds (inert stub: the `telemetry` feature is off, so
-/// recording calls referencing these compile to nothing).
-#[cfg(not(feature = "telemetry"))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum EventKind {
-    Epoch,
-    Fence,
-    Claim,
-    Compute,
-    Pack,
-    Route,
-    PlanCompile,
-    Send,
-    Recv,
-    Fault,
-    CacheHit,
-    CacheMiss,
-}
+pub use obs::EventKind;
 
 /// A shareable reference to the process-wide telemetry (or to nothing:
 /// the default handle is detached and records nowhere). Cloning is
 /// cheap; every clone reaches the same `Telemetry`.
 #[derive(Clone, Default)]
 pub struct TelemetryHandle {
-    #[cfg(feature = "telemetry")]
-    inner: Option<Arc<jsweep_obs::Telemetry>>,
+    inner: Option<Arc<obs::Telemetry>>,
 }
 
 impl std::fmt::Debug for TelemetryHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        #[cfg(feature = "telemetry")]
-        return write!(
-            f,
-            "TelemetryHandle({})",
-            if self.inner.is_some() {
-                "attached"
-            } else {
-                "detached"
-            }
-        );
-        #[cfg(not(feature = "telemetry"))]
-        write!(f, "TelemetryHandle(compiled out)")
+        let state = if self.inner.is_some() {
+            "attached"
+        } else {
+            "detached"
+        };
+        write!(f, "TelemetryHandle({state})")
     }
 }
 
 impl TelemetryHandle {
     /// Wrap a telemetry instance into a handle the runtime config can
     /// carry.
-    #[cfg(feature = "telemetry")]
-    pub fn attach(telemetry: Arc<jsweep_obs::Telemetry>) -> TelemetryHandle {
+    pub fn attach(telemetry: Arc<obs::Telemetry>) -> TelemetryHandle {
         TelemetryHandle {
             inner: Some(telemetry),
         }
     }
 
     /// The attached telemetry, if any.
-    #[cfg(feature = "telemetry")]
-    pub fn telemetry(&self) -> Option<&Arc<jsweep_obs::Telemetry>> {
+    pub fn telemetry(&self) -> Option<&Arc<obs::Telemetry>> {
         self.inner.as_ref()
     }
 
     /// Whether recording is attached *and* armed right now.
-    #[cfg(feature = "telemetry")]
     #[inline]
     pub fn armed(&self) -> bool {
-        self.inner.as_ref().is_some_and(|t| t.is_armed())
+        self.armed_telemetry().is_some()
     }
 
-    /// Whether recording is attached and armed (compiled out: never).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn armed(&self) -> bool {
-        false
+    /// The attached telemetry while it is armed (`None` while detached
+    /// or disarmed): the gate of every cold-path metrics hook.
+    pub fn armed_telemetry(&self) -> Option<&Arc<obs::Telemetry>> {
+        self.inner.as_ref().filter(|t| t.is_armed())
     }
 
     /// Register a recording lane for one thread (`lane` 0 = master,
     /// `w + 1` = worker `w`) and hand out its single-writer recorder.
-    #[cfg(feature = "telemetry")]
     pub fn recorder(&self, rank: u32, lane: u32) -> Recorder {
         Recorder {
             inner: self.inner.as_ref().map(|t| t.recorder(rank, lane)),
         }
     }
 
-    /// Register a recording lane (compiled out: an inert recorder).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn recorder(&self, _rank: u32, _lane: u32) -> Recorder {
-        Recorder {}
-    }
-
     /// A start-of-span stamp on the shared driver lane's clock (0
     /// while detached/disarmed).
-    #[cfg(feature = "telemetry")]
     pub fn global_now(&self) -> u64 {
-        match self.inner.as_ref() {
-            Some(t) if t.is_armed() => t.now_nanos(),
-            _ => 0,
-        }
-    }
-
-    /// A start-of-span stamp (compiled out: always 0).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn global_now(&self) -> u64 {
-        0
+        self.armed_telemetry().map_or(0, |t| t.now_nanos())
     }
 
     /// Record a durational event on the shared driver lane (for
     /// threads that own no rank lane, e.g. a session driver compiling
     /// a plan).
-    #[cfg(feature = "telemetry")]
     pub fn global_span(&self, kind: EventKind, t0: u64, a: u64, b: u64) {
         if let Some(t) = self.inner.as_ref() {
             t.global_span(kind, t0, a, b);
         }
     }
 
-    /// Record a durational driver-lane event (compiled out: no-op).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn global_span(&self, _kind: EventKind, _t0: u64, _a: u64, _b: u64) {}
-
     /// Record an instant event on the shared driver lane.
-    #[cfg(feature = "telemetry")]
     pub fn global_instant(&self, kind: EventKind, a: u64, b: u64) {
         if let Some(t) = self.inner.as_ref() {
             t.global_instant(kind, a, b);
         }
     }
 
-    /// Record an instant driver-lane event (compiled out: no-op).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn global_instant(&self, _kind: EventKind, _a: u64, _b: u64) {}
-
     /// Feed one epoch's per-rank stats into the metrics registry
     /// (epoch-boundary cold path; no-op while detached or disarmed).
     /// `wire` is the transport's own `(bytes sent, bytes received,
     /// frames received)` accounting, which includes wire framing where
     /// the backend has any.
-    #[cfg(feature = "telemetry")]
     pub fn epoch_metrics(&self, rank: usize, stats: &RunStats, wire: (u64, u64, u64)) {
-        let Some(t) = self.inner.as_ref() else {
+        let Some(t) = self.armed_telemetry() else {
             return;
         };
-        if !t.is_armed() {
-            return;
-        }
         let m = t.metrics();
         m.describe("jsweep_epochs_total", "Epochs run, per rank.");
         m.describe(
@@ -228,7 +151,7 @@ impl TelemetryHandle {
         m.counter(&format!("jsweep_epochs_total{lab}")).inc();
         m.histogram(
             &format!("jsweep_epoch_wall_seconds{lab}"),
-            jsweep_obs::SECONDS_BUCKETS,
+            obs::SECONDS_BUCKETS,
         )
         .observe(stats.wall_seconds);
         m.counter(&format!("jsweep_compute_calls_total{lab}"))
@@ -253,28 +176,12 @@ impl TelemetryHandle {
             .set(wire.2 as f64);
     }
 
-    /// Feed one epoch's stats (compiled out: no-op — the arguments
-    /// are all references/scalars the caller already has).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn epoch_metrics(
-        &self,
-        _rank: usize,
-        _stats: &crate::stats::RunStats,
-        _wire: (u64, u64, u64),
-    ) {
-    }
-
     /// Observe one outgoing frame's payload size into the frame-bytes
     /// histogram (no-op while detached or disarmed).
-    #[cfg(feature = "telemetry")]
     pub fn observe_frame_bytes(&self, rank: usize, bytes: usize) {
-        let Some(t) = self.inner.as_ref() else {
+        let Some(t) = self.armed_telemetry() else {
             return;
         };
-        if !t.is_armed() {
-            return;
-        }
         let m = t.metrics();
         m.describe(
             "jsweep_frame_bytes",
@@ -282,65 +189,33 @@ impl TelemetryHandle {
         );
         m.histogram(
             &format!("jsweep_frame_bytes{{rank=\"{rank}\"}}"),
-            jsweep_obs::BYTES_BUCKETS,
+            obs::BYTES_BUCKETS,
         )
         .observe(bytes as f64);
     }
-
-    /// Observe one outgoing frame's size (compiled out: no-op).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn observe_frame_bytes(&self, _rank: usize, _bytes: usize) {}
 }
 
-/// One thread's event writer (see `jsweep_obs::Recorder`). With the
-/// `telemetry` feature off this is an empty struct whose methods
-/// compile to nothing.
+/// One thread's event writer (see [`obs::Recorder`]); a detached one
+/// records nowhere.
 pub struct Recorder {
-    #[cfg(feature = "telemetry")]
-    inner: Option<jsweep_obs::Recorder>,
+    inner: Option<obs::Recorder>,
 }
 
 impl Recorder {
-    /// An inert recorder (detached).
-    pub fn disabled() -> Recorder {
-        Recorder {
-            #[cfg(feature = "telemetry")]
-            inner: None,
-        }
-    }
-
     /// Whether recording is live right now (one relaxed load).
-    #[cfg(feature = "telemetry")]
     #[inline]
     pub fn armed(&self) -> bool {
         self.inner.as_ref().is_some_and(|r| r.armed())
     }
 
-    /// Whether recording is live (compiled out: never).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn armed(&self) -> bool {
-        false
-    }
-
     /// A start-of-span stamp (0 while detached/disarmed; the matching
     /// [`Recorder::span`] then drops the event).
-    #[cfg(feature = "telemetry")]
     #[inline]
     pub fn now(&self) -> u64 {
         self.inner.as_ref().map_or(0, |r| r.now())
     }
 
-    /// A start-of-span stamp (compiled out: always 0).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn now(&self) -> u64 {
-        0
-    }
-
     /// Record a durational event `[t0, now]` on this lane.
-    #[cfg(feature = "telemetry")]
     #[inline]
     pub fn span(&self, kind: EventKind, t0: u64, a: u64, b: u64) {
         if let Some(r) = self.inner.as_ref() {
@@ -348,24 +223,13 @@ impl Recorder {
         }
     }
 
-    /// Record a durational event (compiled out: no-op).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn span(&self, _kind: EventKind, _t0: u64, _a: u64, _b: u64) {}
-
     /// Record an instant event on this lane.
-    #[cfg(feature = "telemetry")]
     #[inline]
     pub fn instant(&self, kind: EventKind, a: u64, b: u64) {
         if let Some(r) = self.inner.as_ref() {
             r.instant(kind, a, b);
         }
     }
-
-    /// Record an instant event (compiled out: no-op).
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    pub fn instant(&self, _kind: EventKind, _a: u64, _b: u64) {}
 }
 
 #[cfg(test)]
@@ -390,11 +254,9 @@ mod tests {
         h.epoch_metrics(0, &stats, (0, 0, 0));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn attached_handle_records_when_armed() {
-        use std::sync::Arc;
-        let t = Arc::new(jsweep_obs::Telemetry::new());
+        let t = Arc::new(obs::Telemetry::new());
         let h = TelemetryHandle::attach(t.clone());
         assert!(!h.armed(), "not armed yet");
         t.arm();
@@ -410,14 +272,12 @@ mod tests {
             .any(|l| l.rank == 3 && l.lane == 1 && l.events.len() == 1));
         assert!(lanes
             .iter()
-            .any(|l| l.rank == jsweep_obs::GLOBAL_RANK && !l.events.is_empty()));
+            .any(|l| l.rank == obs::GLOBAL_RANK && !l.events.is_empty()));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn epoch_metrics_feed_the_registry() {
-        use std::sync::Arc;
-        let t = Arc::new(jsweep_obs::Telemetry::new());
+        let t = Arc::new(obs::Telemetry::new());
         let h = TelemetryHandle::attach(t.clone());
         t.arm();
         let stats = crate::stats::RunStats {

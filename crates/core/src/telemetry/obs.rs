@@ -1,11 +1,9 @@
 //! Observability for the JSweep runtime: lock-free span tracing, a
 //! metrics registry, and Chrome-trace / Prometheus exporters.
 //!
-//! The design goal is the same zero-cost-when-off discipline as the
-//! `fault-inject` hooks: consumers compile this crate in only behind
-//! the `telemetry` cargo feature of `jsweep-core`, and even then every
-//! recording call first checks one runtime atomic (**arming**) — a
-//! built-but-unarmed [`Telemetry`] costs one relaxed load per hook.
+//! Always compiled in. Recording is gated at run time: every recording
+//! call first checks one atomic (**arming**), so an attached but
+//! unarmed [`Telemetry`] costs one relaxed load per hook.
 //!
 //! * [`Telemetry`] — the process-wide handle: arming switch, shared
 //!   monotonic clock, the set of recorded lanes, and the
@@ -17,8 +15,6 @@
 //! * [`metrics`] — counters / gauges / fixed-bucket histograms with
 //!   Prometheus text exposition.
 
-#![deny(missing_docs)]
-
 pub mod chrome;
 pub mod event;
 pub mod metrics;
@@ -29,7 +25,7 @@ pub use event::{Event, EventKind, EVENT_KINDS};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, BYTES_BUCKETS, SECONDS_BUCKETS};
 pub use ring::SpanRing;
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -132,17 +128,38 @@ impl Telemetry {
         &self.metrics
     }
 
-    /// Register a new lane and hand out its single-writer recorder.
-    /// Call once per thread per launch; re-registering the same
-    /// `(rank, lane)` (e.g. after a universe relaunch) starts a fresh
-    /// ring whose events merge into the same exported timeline.
+    /// Hand out the single-writer recorder for one `(rank, lane)`.
+    /// Call once per thread per launch. A registered lane with the
+    /// same identity whose previous writer has dropped (e.g. the
+    /// thread of a retired universe) is reused, so repeated launches
+    /// append to one ring instead of registering a new one each time;
+    /// otherwise a fresh lane is registered. Either way the events
+    /// merge into the same exported timeline.
     pub fn recorder(self: &Arc<Self>, rank: u32, lane: u32) -> Recorder {
-        let l = Arc::new(Lane {
-            rank,
-            lane,
-            ring: SpanRing::new(self.ring_capacity),
-        });
-        self.lanes.lock().unwrap().push(l.clone());
+        let mut lanes = self.lanes.lock().expect("lane registry poisoned");
+        // Under the `lanes` lock only `recorder` hands out writers, so
+        // a count of 1 (the registry's own reference) means no writer
+        // is left and none can appear concurrently.
+        let idle = lanes
+            .iter()
+            .find(|l| l.rank == rank && l.lane == lane && Arc::strong_count(l) == 1);
+        let l = match idle {
+            Some(l) => {
+                // Pairs with the release decrement of the previous
+                // writer's drop: its pushes happen before ours.
+                fence(Ordering::Acquire);
+                l.clone()
+            }
+            None => {
+                let l = Arc::new(Lane {
+                    rank,
+                    lane,
+                    ring: SpanRing::new(self.ring_capacity),
+                });
+                lanes.push(l.clone());
+                l
+            }
+        };
         Recorder {
             shared: self.clone(),
             lane: l,
@@ -334,6 +351,26 @@ mod tests {
         let json = t.chrome_trace();
         assert!(json.contains("\"compute\""));
         assert!(json.contains("\"thread_name\""));
+    }
+
+    #[test]
+    fn lanes_are_reused_only_once_their_writer_drops() {
+        let t = Arc::new(Telemetry::new());
+        t.arm();
+        let first = t.recorder(0, 1);
+        first.instant(EventKind::Send, 1, 0);
+        // A live writer keeps its lane: a second one gets a fresh ring.
+        let second = t.recorder(0, 1);
+        assert_eq!(t.snapshot().len(), 2);
+        drop(first);
+        drop(second);
+        // Both writers gone: relaunches pick the idle lanes back up.
+        let again = t.recorder(0, 1);
+        again.instant(EventKind::Recv, 2, 0);
+        let _other = t.recorder(0, 1);
+        let lanes = t.snapshot();
+        assert_eq!(lanes.len(), 2);
+        assert_eq!(lanes[0].events.len(), 2, "old and new events share a ring");
     }
 
     #[test]

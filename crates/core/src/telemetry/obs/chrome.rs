@@ -8,15 +8,15 @@
 //! (`"ph":"i"`); and metadata (`"ph":"M"`) rows name each process and
 //! thread so the viewer shows `rank 0 / worker 1` instead of raw ids.
 
-use crate::event::Event;
-use crate::LaneSnapshot;
+use super::event::Event;
+use super::LaneSnapshot;
 
 /// One exported trace event, pre-JSON. Kept structured so tests can
 /// validate a trace (nesting, monotonicity, span counts) without a
 /// JSON parser.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Event name (the [`crate::EventKind`] name).
+    /// Event name (the [`super::EventKind`] name).
     pub name: &'static str,
     /// Trace-event phase: `X` (complete), `i` (instant).
     pub phase: char,
@@ -35,7 +35,7 @@ pub struct TraceEvent {
 /// Argument names per event kind, applied to the `a`/`b` payload
 /// words (a `None` slot suppresses the word).
 fn arg_names(e: &Event) -> [Option<&'static str>; 2] {
-    use crate::EventKind::*;
+    use super::EventKind::*;
     match e.kind {
         Epoch => [Some("epoch"), Some("span")],
         Fence => [None, None],
@@ -93,10 +93,10 @@ pub fn lane_name(lane: u32) -> String {
     }
 }
 
-/// Human name of a rank's process row. [`crate::GLOBAL_RANK`] is the
+/// Human name of a rank's process row. [`super::GLOBAL_RANK`] is the
 /// process-wide driver lane.
 pub fn rank_name(rank: u32) -> String {
-    if rank == crate::GLOBAL_RANK {
+    if rank == super::GLOBAL_RANK {
         "driver".to_string()
     } else {
         format!("rank {rank}")
@@ -174,7 +174,7 @@ pub fn to_json(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventKind;
+    use crate::telemetry::obs::EventKind;
 
     fn lane(rank: u32, lane_id: u32, events: Vec<Event>) -> LaneSnapshot {
         LaneSnapshot {

@@ -97,7 +97,7 @@ impl EventKind {
 }
 
 /// One recorded event. Timestamps are nanoseconds on the owning
-/// [`crate::Telemetry`]'s monotonic clock (shared origin across every
+/// [`super::Telemetry`]'s monotonic clock (shared origin across every
 /// lane of the process, so cross-thread ordering is meaningful).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {

@@ -129,7 +129,7 @@ enum Metric {
     Histogram(Histogram),
 }
 
-/// Named registry of every metric one [`crate::Telemetry`] owns.
+/// Named registry of every metric one [`super::Telemetry`] owns.
 ///
 /// Lookup-or-create takes a lock; updates through the returned handles
 /// are lock-free. Re-requesting a name returns the same underlying

@@ -13,7 +13,7 @@
 //! Every slot field is an individual atomic (no `UnsafeCell`), so a
 //! racing read is at worst *stale*, never undefined behaviour.
 
-use crate::event::{Event, EventKind};
+use super::event::{Event, EventKind};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// One ring slot. `seq` is odd while a write is in flight and even

@@ -67,8 +67,7 @@ pub struct EpochTuning {
     /// Span id stamped on this epoch's trace events (`0` = none). A
     /// session driver assigns each request a span id and passes it
     /// down here, so a ticket's epochs can be located in an exported
-    /// Chrome trace. Inert unless the `telemetry` feature is on and
-    /// recording is armed.
+    /// Chrome trace. Inert unless an attached telemetry is armed.
     pub span: u64,
 }
 

@@ -52,7 +52,6 @@ use crate::replay::{EvictionPolicy, PlanCache};
 use crate::solver::{advance_one_epoch, EpochWorld, SnConfig, SnSolution, SolveProgress};
 use crate::xs::MaterialSet;
 use jsweep_core::fault::{EpochFault, FaultKind};
-#[cfg(feature = "telemetry")]
 use jsweep_core::telemetry::obs;
 use jsweep_core::telemetry::TelemetryHandle;
 use jsweep_graph::SweepProblem;
@@ -534,7 +533,6 @@ pub struct SolverSession<T: SweepTopology + Send + Sync + 'static> {
     /// Clone of the solver config's handle, kept so the pull-style
     /// exporter ([`SolverSession::metrics_text`]) reaches the registry
     /// without going through the driver.
-    #[cfg(feature = "telemetry")]
     telemetry: TelemetryHandle,
 }
 
@@ -559,7 +557,6 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
             }),
             cv: Condvar::new(),
         });
-        #[cfg(feature = "telemetry")]
         let telemetry = options.solver.telemetry.clone();
         let world = EpochWorld::new(mesh, problem, quadrature, options.solver);
         let driver = Driver {
@@ -588,7 +585,6 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
             stats,
             cache,
             next_campaign: AtomicU64::new(0),
-            #[cfg(feature = "telemetry")]
             telemetry,
         }
     }
@@ -646,37 +642,72 @@ impl<T: SweepTopology + Send + Sync + 'static> SolverSession<T> {
         &self.cache
     }
 
-    /// Render the session's metrics registry in Prometheus text
-    /// exposition format (a pull endpoint would serve this verbatim).
-    /// Pull-style gauges — the plan cache's hit/miss/eviction counts —
-    /// are refreshed at call time; everything else is whatever the
-    /// armed runtime has pushed so far. Returns an empty string while
-    /// the session runs with a detached [`TelemetryHandle`].
-    #[cfg(feature = "telemetry")]
+    /// Render the session's metrics in Prometheus text exposition
+    /// format (a pull endpoint would serve this verbatim). The session
+    /// counters come from the [`SessionStats`] and the plan-cache
+    /// series from the [`PlanCache`], both read at call time and
+    /// counted from launch whether or not telemetry is attached or
+    /// armed. With a [`TelemetryHandle`] attached, the series its
+    /// armed runtime has pushed so far (per-rank epoch counters,
+    /// frame-bytes and queue-wait histograms, the flux-allocation
+    /// gauge) follow.
     pub fn metrics_text(&self) -> String {
-        let Some(t) = self.telemetry.telemetry() else {
-            return String::new();
+        let (solves, faults, retries, relaunches) = {
+            let s = self.stats.lock();
+            let solves = s.campaigns.values().map(|c| c.completed).sum();
+            (solves, s.faults, s.retries, s.relaunches)
         };
-        let m = t.metrics();
-        m.describe(
-            "jsweep_plan_cache_hits",
-            "Replay-plan cache lookups that hit.",
-        );
-        m.describe(
-            "jsweep_plan_cache_misses",
-            "Replay-plan cache lookups that missed.",
-        );
-        m.describe(
-            "jsweep_plan_cache_evictions",
-            "Replay plans evicted from the session cache.",
-        );
-        m.gauge("jsweep_plan_cache_hits")
-            .set(self.cache.hits() as f64);
-        m.gauge("jsweep_plan_cache_misses")
-            .set(self.cache.misses() as f64);
-        m.gauge("jsweep_plan_cache_evictions")
-            .set(self.cache.evictions() as f64);
-        m.render_prometheus()
+        let m = obs::MetricsRegistry::new();
+        for (name, help, value) in [
+            (
+                "jsweep_session_solves_total",
+                "Requests the session resolved with a solution.",
+                solves,
+            ),
+            (
+                "jsweep_session_faults_total",
+                "Faulted epochs observed by the session driver.",
+                faults,
+            ),
+            (
+                "jsweep_session_retries_total",
+                "Epoch retries spent recovering faulted requests.",
+                retries,
+            ),
+            (
+                "jsweep_session_relaunches_total",
+                "Universe relaunches forced by faulted epochs.",
+                relaunches,
+            ),
+        ] {
+            m.describe(name, help);
+            m.counter(name).add(value);
+        }
+        for (name, help, value) in [
+            (
+                "jsweep_plan_cache_hits",
+                "Replay-plan cache lookups that hit.",
+                self.cache.hits(),
+            ),
+            (
+                "jsweep_plan_cache_misses",
+                "Replay-plan cache lookups that missed.",
+                self.cache.misses(),
+            ),
+            (
+                "jsweep_plan_cache_evictions",
+                "Replay plans evicted from the session cache.",
+                self.cache.evictions(),
+            ),
+        ] {
+            m.describe(name, help);
+            m.gauge(name).set(value as f64);
+        }
+        let mut text = m.render_prometheus();
+        if let Some(t) = self.telemetry.telemetry() {
+            text.push_str(&t.metrics().render_prometheus());
+        }
+        text
     }
 
     /// Drain admitted work, resolve everything still queued with
@@ -1128,11 +1159,6 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
                 cs.completed += 1;
                 cs.queue_wait_seconds += wait;
             }
-            bump_session_counter(
-                &self.world.config.telemetry,
-                "jsweep_session_solves_total",
-                "Requests the session resolved with a solution.",
-            );
             let span_id = solve.progress.span;
             solve.reply.fulfill(Ok(SolveOutcome {
                 campaign,
@@ -1186,18 +1212,6 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
                 cs.retries += 1;
             }
         }
-        bump_session_counter(
-            &self.world.config.telemetry,
-            "jsweep_session_faults_total",
-            "Faulted epochs observed by the session driver.",
-        );
-        if retrying {
-            bump_session_counter(
-                &self.world.config.telemetry,
-                "jsweep_session_retries_total",
-                "Epoch retries spent recovering faulted requests.",
-            );
-        }
         if retrying {
             // The solve stays at the head of its queue with its
             // progress untouched: the retried epoch reruns the same
@@ -1237,11 +1251,6 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
         self.retire_world();
         if had_universe {
             self.stats.lock().relaunches += 1;
-            bump_session_counter(
-                &self.world.config.telemetry,
-                "jsweep_session_relaunches_total",
-                "Universe relaunches forced by faulted epochs.",
-            );
         }
         if retrying && !backoff.is_zero() {
             thread::sleep(backoff);
@@ -1304,50 +1313,22 @@ impl<T: SweepTopology + Send + Sync + 'static> Driver<T> {
     }
 }
 
-/// Bump a session-tier counter (no-op while the handle is detached or
-/// the telemetry disarmed; these sit on driver cold paths, never inside
-/// an epoch).
-#[cfg(feature = "telemetry")]
-fn bump_session_counter(h: &TelemetryHandle, name: &'static str, help: &'static str) {
-    let Some(t) = h.telemetry() else { return };
-    if !t.is_armed() {
-        return;
-    }
-    let m = t.metrics();
-    m.describe(name, help);
-    m.counter(name).inc();
-}
-
-/// Bump a session-tier counter (compiled out: no-op).
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-fn bump_session_counter(_h: &TelemetryHandle, _name: &'static str, _help: &'static str) {}
-
 /// Set a session-tier gauge (no-op while detached or disarmed).
-#[cfg(feature = "telemetry")]
 fn set_session_gauge(h: &TelemetryHandle, name: &'static str, help: &'static str, value: f64) {
-    let Some(t) = h.telemetry() else { return };
-    if !t.is_armed() {
+    let Some(t) = h.armed_telemetry() else {
         return;
-    }
+    };
     let m = t.metrics();
     m.describe(name, help);
     m.gauge(name).set(value);
 }
 
-/// Set a session-tier gauge (compiled out: no-op).
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-fn set_session_gauge(_h: &TelemetryHandle, _name: &'static str, _help: &'static str, _value: f64) {}
-
 /// Observe one request's queue wait into its histogram (no-op while
 /// detached or disarmed).
-#[cfg(feature = "telemetry")]
 fn note_queue_wait(h: &TelemetryHandle, seconds: f64) {
-    let Some(t) = h.telemetry() else { return };
-    if !t.is_armed() {
+    let Some(t) = h.armed_telemetry() else {
         return;
-    }
+    };
     let m = t.metrics();
     m.describe(
         "jsweep_session_queue_wait_seconds",
@@ -1356,11 +1337,6 @@ fn note_queue_wait(h: &TelemetryHandle, seconds: f64) {
     m.histogram("jsweep_session_queue_wait_seconds", obs::SECONDS_BUCKETS)
         .observe(seconds);
 }
-
-/// Observe one request's queue wait (compiled out: no-op).
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-fn note_queue_wait(_h: &TelemetryHandle, _seconds: f64) {}
 
 #[cfg(test)]
 mod tests {
@@ -1461,7 +1437,6 @@ mod tests {
         assert_eq!(stats.campaigns[&campaign.id()].completed, 1);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn session_assigns_span_ids_and_exports_metrics() {
         let (m, prob, quad, mats) = session_world();

@@ -99,9 +99,8 @@ pub struct SnConfig {
     /// process entry point).
     pub transport: TransportKind,
     /// Telemetry attachment threaded into the runtime (default
-    /// detached). Inert unless the `telemetry` feature is on and the
-    /// attached recorder is armed; see
-    /// [`jsweep_core::TelemetryHandle`].
+    /// detached). Records only while the attached telemetry is armed;
+    /// see [`jsweep_core::TelemetryHandle`].
     pub telemetry: TelemetryHandle,
 }
 

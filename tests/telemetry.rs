@@ -1,4 +1,4 @@
-//! End-to-end telemetry validation (requires `--features telemetry`).
+//! End-to-end telemetry validation.
 //!
 //! Runs a real 2-rank 8³ solve with recording armed and validates the
 //! exported data at every layer:
@@ -13,12 +13,14 @@
 //! * a session ticket's `span_id` locates exactly its epochs in the
 //!   exported trace;
 //! * recording must never change physics: the armed flux is
-//!   bit-identical to a detached run's.
+//!   bit-identical to a detached run's;
+//! * repeated launches against one attached telemetry reuse their
+//!   lanes instead of registering new rings;
+//! * a session's `metrics_text` renders its counters from the session
+//!   and plan-cache state, attached or not.
 //!
-//! With `--features "telemetry fault-inject"` an injected worker panic
-//! must additionally surface as a `fault` instant in the trace.
-
-#![cfg(feature = "telemetry")]
+//! With `--features fault-inject` an injected worker panic must
+//! additionally surface as a `fault` instant in the trace.
 
 use jsweep::core::telemetry::obs::{EventKind, LaneSnapshot, Telemetry, GLOBAL_RANK};
 use jsweep::prelude::*;
@@ -236,6 +238,147 @@ fn armed_two_rank_solve_exports_valid_chrome_trace() {
     ] {
         assert!(json.contains(label), "chrome trace missing {label}");
     }
+}
+
+/// Every launch asks for one recorder per runtime thread. A lane whose
+/// writer is gone must be handed out again, not joined by a new ring:
+/// an attached telemetry would otherwise grow by a full ring per
+/// thread per solve, armed or not.
+#[test]
+fn repeated_solves_reuse_their_lanes() {
+    let (mesh, problem, quad) = build_world();
+    let t = Arc::new(Telemetry::new());
+    for _ in 0..5 {
+        solve_parallel(
+            mesh.clone(),
+            problem.clone(),
+            &quad,
+            materials(),
+            &config(TelemetryHandle::attach(t.clone())),
+        );
+    }
+    assert_eq!(
+        t.snapshot().len(),
+        RANKS * (WORKERS + 1),
+        "one lane per (rank, thread), however many launches"
+    );
+}
+
+/// Two armed solves share their lanes: each lane holds both solves'
+/// events and still reads as one well-formed timeline.
+#[test]
+fn armed_solves_share_well_formed_lanes() {
+    let (mesh, problem, quad) = build_world();
+    let t = Arc::new(Telemetry::new());
+    t.arm();
+    for _ in 0..2 {
+        solve_parallel(
+            mesh.clone(),
+            problem.clone(),
+            &quad,
+            materials(),
+            &config(TelemetryHandle::attach(t.clone())),
+        );
+    }
+    let lanes = t.snapshot();
+    let rank_lanes: Vec<_> = lanes.iter().filter(|l| l.rank != GLOBAL_RANK).collect();
+    assert_eq!(rank_lanes.len(), RANKS * (WORKERS + 1));
+    for lane in &lanes {
+        assert_eq!(lane.dropped, 0, "no ring overflow at this scale");
+        assert_lane_well_formed(lane);
+    }
+    for master in rank_lanes.iter().filter(|l| l.lane == 0) {
+        let epochs = master
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::Epoch)
+            .count();
+        assert_eq!(
+            epochs,
+            2 * ITERATIONS,
+            "rank {}: both solves' epochs on one lane",
+            master.rank
+        );
+    }
+}
+
+/// The value of one unlabeled series in a Prometheus text rendering.
+fn series_value(text: &str, name: &str) -> f64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("series {name} missing from:\n{text}"))
+        .parse()
+        .expect("numeric sample")
+}
+
+/// Serve three tickets on one session and render its metrics.
+fn session_metrics(telemetry: TelemetryHandle) -> (String, u64, u64) {
+    let (mesh, problem, quad) = build_world();
+    let mut session = SolverSession::launch(
+        mesh,
+        problem,
+        quad,
+        SessionOptions {
+            solver: config(telemetry),
+            ..Default::default()
+        },
+    );
+    let campaign = session.campaign();
+    for _ in 0..3 {
+        campaign
+            .submit(SolveRequest::new(materials()))
+            .wait()
+            .expect("solve served");
+    }
+    let text = session.metrics_text();
+    let cache = session.plan_cache();
+    let (hits, misses) = (cache.hits(), cache.misses());
+    session.shutdown();
+    (text, hits, misses)
+}
+
+#[test]
+fn metrics_text_renders_session_state_attached_or_not() {
+    let (detached, hits, misses) = session_metrics(TelemetryHandle::default());
+    assert_eq!(series_value(&detached, "jsweep_session_solves_total"), 3.0);
+    assert_eq!(series_value(&detached, "jsweep_session_faults_total"), 0.0);
+    assert_eq!(
+        series_value(&detached, "jsweep_plan_cache_hits"),
+        hits as f64
+    );
+    assert_eq!(
+        series_value(&detached, "jsweep_plan_cache_misses"),
+        misses as f64
+    );
+    assert!(hits > 0 && misses > 0, "the tickets record, then replay");
+    assert!(
+        !detached.contains("jsweep_epochs_total"),
+        "no pushed series without a telemetry"
+    );
+
+    let t = Arc::new(Telemetry::new());
+    t.arm();
+    let (armed, armed_hits, armed_misses) = session_metrics(TelemetryHandle::attach(t));
+    assert_eq!((armed_hits, armed_misses), (hits, misses));
+    for name in [
+        "jsweep_session_solves_total",
+        "jsweep_session_faults_total",
+        "jsweep_session_retries_total",
+        "jsweep_session_relaunches_total",
+        "jsweep_plan_cache_hits",
+        "jsweep_plan_cache_misses",
+        "jsweep_plan_cache_evictions",
+    ] {
+        assert_eq!(
+            series_value(&armed, name),
+            series_value(&detached, name),
+            "{name} differs between the armed and detached sessions"
+        );
+    }
+    assert!(
+        armed.contains("jsweep_epochs_total{rank=\"0\"}"),
+        "armed render carries the pushed per-rank series:\n{armed}"
+    );
 }
 
 #[test]
