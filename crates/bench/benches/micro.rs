@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use jsweep_graph::priority::vertex_priorities;
-use jsweep_graph::{PriorityStrategy, Subgraph, SweepState};
+use jsweep_graph::{PriorityStrategy, ReciprocalFaces, Subgraph, SweepState};
 use jsweep_mesh::{partition, PatchId, PatchSet, StructuredMesh, SweepTopology};
 use jsweep_quadrature::AngleId;
 use std::collections::HashSet;
@@ -14,10 +14,12 @@ use std::hint::black_box;
 fn bench_subgraph_build(c: &mut Criterion) {
     let mesh = StructuredMesh::unit(32, 32, 32);
     let ps = partition::decompose_structured(&mesh, (8, 8, 8), 2);
+    let faces = ReciprocalFaces::new(&mesh);
     c.bench_function("subgraph_build_32cube", |b| {
         b.iter(|| {
             Subgraph::build(
                 &mesh,
+                &faces,
                 &ps,
                 black_box(PatchId(0)),
                 AngleId(0),
@@ -33,6 +35,7 @@ fn bench_sweep_state(c: &mut Criterion) {
     let ps = PatchSet::single(mesh.num_cells());
     let sub = Subgraph::build(
         &mesh,
+        &ReciprocalFaces::new(&mesh),
         &ps,
         PatchId(0),
         AngleId(0),
@@ -58,6 +61,7 @@ fn bench_priorities(c: &mut Criterion) {
     let ps = PatchSet::single(mesh.num_cells());
     let sub = Subgraph::build(
         &mesh,
+        &ReciprocalFaces::new(&mesh),
         &ps,
         PatchId(0),
         AngleId(0),

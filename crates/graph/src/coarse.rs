@@ -364,7 +364,14 @@ mod tests {
         dir: [f64; 3],
         grain: usize,
     ) -> (Vec<Subgraph>, Vec<ClusterTrace>) {
-        let subs = Subgraph::build_all(mesh, ps, AngleId(0), dir, &HashSet::new());
+        let subs = Subgraph::build_all(
+            mesh,
+            &crate::ReciprocalFaces::new(mesh),
+            ps,
+            AngleId(0),
+            dir,
+            &HashSet::new(),
+        );
         let mut states: Vec<SweepState> = subs
             .iter()
             .map(|s| SweepState::with_priorities(s, &vertex_priorities(s, PriorityStrategy::Slbd)))

@@ -248,7 +248,14 @@ mod tests {
     fn subgraphs() -> (StructuredMesh, PatchSet, Vec<Subgraph>) {
         let m = StructuredMesh::unit(6, 6, 6);
         let ps = partition::decompose_structured(&m, (3, 3, 3), 2);
-        let subs = Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 1.0, 1.0], &HashSet::new());
+        let subs = Subgraph::build_all(
+            &m,
+            &crate::ReciprocalFaces::new(&m),
+            &ps,
+            AngleId(0),
+            [1.0, 1.0, 1.0],
+            &HashSet::new(),
+        );
         (m, ps, subs)
     }
 
@@ -304,6 +311,7 @@ mod tests {
         let ps = PatchSet::single(m.num_cells());
         let sub = Subgraph::build(
             &m,
+            &crate::ReciprocalFaces::new(&m),
             &ps,
             PatchId(0),
             AngleId(0),
@@ -333,7 +341,16 @@ mod tests {
         let q = jsweep_quadrature::QuadratureSet::sn(2);
         let subs_by_angle: Vec<Vec<Subgraph>> = q
             .iter()
-            .map(|(a, o)| Subgraph::build_all(&m, &ps, a, o.dir, &HashSet::new()))
+            .map(|(a, o)| {
+                Subgraph::build_all(
+                    &m,
+                    &crate::ReciprocalFaces::new(&m),
+                    &ps,
+                    a,
+                    o.dir,
+                    &HashSet::new(),
+                )
+            })
             .collect();
         let tl = TwoLevelPriority::compute(&subs_by_angle, &ps, PriorityStrategy::Slbd);
         for p in ps.patches() {

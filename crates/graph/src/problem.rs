@@ -2,7 +2,7 @@
 //! compiled into per-(patch, angle) subgraphs and priorities.
 
 use crate::priority::{patch_priorities, vertex_priorities, TwoLevelPriority};
-use crate::{cycles, PriorityStrategy, Subgraph};
+use crate::{cycles, PriorityStrategy, ReciprocalFaces, Subgraph};
 use jsweep_mesh::{PatchSet, SweepTopology};
 use jsweep_quadrature::{AngleId, QuadratureSet};
 use std::collections::HashSet;
@@ -46,6 +46,10 @@ pub struct SweepProblem {
     pub patches: PatchSet,
     /// Number of sweep angles.
     pub num_angles: usize,
+    /// Face slots per cell in every face-flux buffer (the largest face
+    /// count of any mesh cell). Edge slots are
+    /// `local_index * max_faces + face`.
+    pub max_faces: usize,
     /// `subs[angle][patch]`: induced subgraphs (Arc-shared per octant
     /// when enabled).
     pub subs: Vec<Arc<Vec<Subgraph>>>,
@@ -89,10 +93,12 @@ impl SweepProblem {
         opts: &ProblemOptions,
     ) -> SweepProblem {
         let num_angles = quadrature.len();
-        let num_patches = patches.num_patches();
         if opts.share_octant_dags {
             assert_axis_aligned(mesh);
         }
+        // Once per mesh, not per edge per angle: every subgraph reads
+        // its edges' consumer slots from this table.
+        let faces = ReciprocalFaces::new(mesh);
         let mut subs: Vec<Arc<Vec<Subgraph>>> = Vec::with_capacity(num_angles);
         let mut vprio: Vec<Arc<Vec<Arc<Vec<i64>>>>> = Vec::with_capacity(num_angles);
         let mut patch_prio_per_angle: Vec<Vec<i64>> = Vec::with_capacity(num_angles);
@@ -122,7 +128,8 @@ impl SweepProblem {
                     } else {
                         HashSet::new()
                     };
-                    let angle_subs = Subgraph::build_all(mesh, &patches, a, ord.dir, &broken);
+                    let angle_subs =
+                        Subgraph::build_all(mesh, &faces, &patches, a, ord.dir, &broken);
                     let prios: Vec<Arc<Vec<i64>>> = angle_subs
                         .iter()
                         .map(|s| Arc::new(vertex_priorities(s, opts.vertex_strategy)))
@@ -152,12 +159,12 @@ impl SweepProblem {
             .collect();
 
         let total_vertices = (mesh.num_cells() * num_angles) as u64;
-        let _ = num_patches;
         let dag_fingerprint =
             dag_fingerprint(&patches, num_angles, &canon, &subs, &broken_per_angle);
         SweepProblem {
             patches,
             num_angles,
+            max_faces: faces.max_faces(),
             subs,
             vprio,
             pprio,
@@ -439,6 +446,80 @@ mod tests {
                 assert!(crate::dag::is_acyclic(&sub.internal_csr()));
             }
         }
+    }
+
+    /// Check every stored edge of every angle against the mesh: the
+    /// flux leaves through a downwind face of the source, that face's
+    /// neighbour is the edge's consumer, the edge was not cycle-broken,
+    /// and the slot is the consumer's face toward the source. Returns
+    /// the number of edges checked.
+    fn assert_edge_routes<T: SweepTopology>(
+        mesh: &T,
+        q: &QuadratureSet,
+        prob: &SweepProblem,
+    ) -> usize {
+        let mut checked = 0;
+        for (angle, ord) in q.iter() {
+            let a = angle.index();
+            for sub in prob.subs[a].iter() {
+                for v in 0..sub.num_vertices() as u32 {
+                    let src = sub.cells[v as usize] as usize;
+                    let internal = sub.int_range(v).map(|e| {
+                        let dst = sub.cells[sub.int_dst[e] as usize];
+                        (sub.int_face[e], dst, sub.int_slot[e])
+                    });
+                    let remote = sub.rem_range(v).map(|k| {
+                        let re = sub.rem_dst[k];
+                        (re.face, re.cell, re.slot)
+                    });
+                    for (face, dst, slot) in internal.chain(remote) {
+                        let info = mesh.face(src, face as usize);
+                        assert!(info.flow(ord.dir) > 0.0, "angle {a}: {src} face {face}");
+                        assert_eq!(info.neighbor.cell(), Some(dst as usize));
+                        assert!(!prob.broken[a].contains(&(src as u32, dst)));
+                        let back = jsweep_mesh::face_toward(mesh, dst as usize, src).unwrap();
+                        let local = prob.patches.local_index(dst as usize);
+                        assert_eq!(slot as usize, local * prob.max_faces + back);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn edge_routes_name_the_consumer_slot() {
+        use jsweep_mesh::deformed::DeformedMesh;
+        let q = QuadratureSet::sn(4);
+
+        let hex = StructuredMesh::unit(6, 6, 6);
+        let shared = ProblemOptions {
+            share_octant_dags: true,
+            ..Default::default()
+        };
+        let ps = partition::decompose_structured(&hex, (3, 3, 3), 2);
+        let prob = SweepProblem::build(&hex, ps, &q, &shared);
+        assert_eq!(prob.max_faces, 6);
+        assert!(assert_edge_routes(&hex, &q, &prob) > 0);
+
+        let tet = jsweep_mesh::tetgen::ball(3, 1.0);
+        let ps = partition::decompose_unstructured(&tet, 50, 2);
+        let prob = SweepProblem::build(&tet, ps, &q, &ProblemOptions::default());
+        assert_eq!(prob.max_faces, 4);
+        assert!(assert_edge_routes(&tet, &q, &prob) > 0);
+
+        let deformed = DeformedMesh::jittered(6, 6, 6, 0.35, 11);
+        let checked = ProblemOptions {
+            check_cycles: true,
+            ..Default::default()
+        };
+        let prob = SweepProblem::build(&deformed, partition::rcb(&deformed, 4), &q, &checked);
+        assert!(
+            prob.broken.iter().any(|b| !b.is_empty()),
+            "the jittered mesh must exercise the cycle breaker"
+        );
+        assert!(assert_edge_routes(&deformed, &q, &prob) > 0);
     }
 
     #[test]

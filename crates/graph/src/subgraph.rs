@@ -8,10 +8,59 @@
 //! stream items. The in-degree counter of a vertex counts *all* upwind
 //! interior faces, local and remote alike, exactly matching what the
 //! Listing-1 `init`/`input`/`compute` functions decrement.
+//!
+//! Every edge also carries its route: the source face the flux leaves
+//! through and the consumer's face-flux slot
+//! (`local_index(dst) * max_faces + face of dst toward src`), resolved
+//! once per mesh through [`ReciprocalFaces`]. The transport writes and
+//! ships these slots as they are; nothing downstream scans faces.
 
 use jsweep_mesh::{PatchId, PatchSet, SweepTopology};
 use jsweep_quadrature::AngleId;
 use std::collections::HashSet;
+
+/// The reciprocal-face table of a mesh: for every interior face
+/// `(cell, f)`, the face of the neighbour that touches `cell` back.
+/// Built once per mesh (by [`crate::SweepProblem::build`]) and shared
+/// by the subgraphs of every angle, so a downwind edge becomes its
+/// consumer slot without a per-edge face scan.
+pub struct ReciprocalFaces {
+    max_faces: usize,
+    /// `back[cell * max_faces + f]`; `u8::MAX` on boundary faces.
+    back: Vec<u8>,
+}
+
+impl ReciprocalFaces {
+    /// Resolve every interior face of `mesh` once.
+    pub fn new<T: SweepTopology + ?Sized>(mesh: &T) -> ReciprocalFaces {
+        let n = mesh.num_cells();
+        let max_faces = (0..n).map(|c| mesh.num_faces(c)).max().unwrap_or(0);
+        assert!(max_faces < u8::MAX as usize, "cell with {max_faces} faces");
+        let mut back = vec![u8::MAX; n * max_faces];
+        for c in 0..n {
+            for f in 0..mesh.num_faces(c) {
+                if let Some(nb) = mesh.face(c, f).neighbor.cell() {
+                    let g = jsweep_mesh::face_toward(mesh, nb, c)
+                        .expect("interior face without a reciprocal face");
+                    back[c * max_faces + f] = g as u8;
+                }
+            }
+        }
+        ReciprocalFaces { max_faces, back }
+    }
+
+    /// Face slots per cell: the largest face count of any mesh cell.
+    pub fn max_faces(&self) -> usize {
+        self.max_faces
+    }
+
+    /// Consumer slot of the edge leaving `cell` through face `f` into
+    /// interior neighbour `nb`.
+    fn slot(&self, patches: &PatchSet, cell: usize, f: usize, nb: usize) -> u32 {
+        let g = self.back[cell * self.max_faces + f] as usize;
+        (patches.local_index(nb) * self.max_faces + g) as u32
+    }
+}
 
 /// A downwind dependency crossing the patch boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,6 +69,10 @@ pub struct RemoteEdge {
     pub patch: PatchId,
     /// Consumer cell (global id).
     pub cell: u32,
+    /// Consumer face-flux slot on the consumer patch.
+    pub slot: u32,
+    /// Source face the flux leaves through.
+    pub face: u8,
 }
 
 /// The induced subgraph of one `(patch, angle)` sweep task.
@@ -37,6 +90,11 @@ pub struct Subgraph {
     pub int_off: Vec<u32>,
     /// Internal downwind targets (local vertex indices).
     pub int_dst: Vec<u32>,
+    /// Source face of each internal edge (parallel to `int_dst`).
+    pub int_face: Vec<u8>,
+    /// Consumer face-flux slot of each internal edge (parallel to
+    /// `int_dst`).
+    pub int_slot: Vec<u32>,
     /// CSR offsets of remote downwind edges.
     pub rem_off: Vec<u32>,
     /// Remote downwind targets.
@@ -44,12 +102,14 @@ pub struct Subgraph {
 }
 
 impl Subgraph {
-    /// Build `G_{p,t}` for patch `p` and direction `dir`.
+    /// Build `G_{p,t}` for patch `p` and direction `dir`. Each vertex's
+    /// edges are stored in face order.
     ///
     /// `broken` lists `(src_cell, dst_cell)` global pairs removed by the
     /// cycle breaker; pass an empty set for ordinary meshes.
     pub fn build<T: SweepTopology + ?Sized>(
         mesh: &T,
+        faces: &ReciprocalFaces,
         patches: &PatchSet,
         patch: PatchId,
         angle: AngleId,
@@ -59,10 +119,18 @@ impl Subgraph {
         let cells: Vec<u32> = patches.cells(patch).to_vec();
         let n = cells.len();
         let mut in_degree = vec![0u32; n];
-        let mut int_off = vec![0u32; n + 1];
-        let mut rem_off = vec![0u32; n + 1];
-        let mut int_edges: Vec<(u32, u32)> = Vec::new();
-        let mut rem_edges: Vec<(u32, RemoteEdge)> = Vec::new();
+        let mut int_off = Vec::with_capacity(n + 1);
+        let mut rem_off = Vec::with_capacity(n + 1);
+        int_off.push(0u32);
+        rem_off.push(0u32);
+        // Sized for half of all faces downwind and trimmed at the end:
+        // growing three edge arrays from empty costs more reallocations
+        // than the rest of the build.
+        let cap = n * faces.max_faces() / 2;
+        let mut int_dst = Vec::with_capacity(cap);
+        let mut int_face = Vec::with_capacity(cap);
+        let mut int_slot = Vec::with_capacity(cap);
+        let mut rem_dst = Vec::new();
 
         for (li, &cell) in cells.iter().enumerate() {
             let c = cell as usize;
@@ -82,53 +150,30 @@ impl Subgraph {
                     if broken.contains(&(cell, nb as u32)) {
                         continue;
                     }
+                    let slot = faces.slot(patches, c, f, nb);
                     let nb_patch = patches.patch_of(nb);
                     if nb_patch == patch {
-                        int_edges.push((li as u32, patches.local_index(nb) as u32));
+                        int_dst.push(patches.local_index(nb) as u32);
+                        int_face.push(f as u8);
+                        int_slot.push(slot);
                     } else {
-                        rem_edges.push((
-                            li as u32,
-                            RemoteEdge {
-                                patch: nb_patch,
-                                cell: nb as u32,
-                            },
-                        ));
+                        rem_dst.push(RemoteEdge {
+                            patch: nb_patch,
+                            cell: nb as u32,
+                            slot,
+                            face: f as u8,
+                        });
                     }
                 }
                 // flow == 0: the face is parallel to the direction; no
                 // dependency either way.
             }
+            int_off.push(int_dst.len() as u32);
+            rem_off.push(rem_dst.len() as u32);
         }
-
-        // Pack into CSR.
-        for &(s, _) in &int_edges {
-            int_off[s as usize + 1] += 1;
-        }
-        for &(s, _) in &rem_edges {
-            rem_off[s as usize + 1] += 1;
-        }
-        for v in 0..n {
-            int_off[v + 1] += int_off[v];
-            rem_off[v + 1] += rem_off[v];
-        }
-        let mut int_dst = vec![0u32; int_edges.len()];
-        let mut cursor = int_off[..n].to_vec();
-        for &(s, d) in &int_edges {
-            int_dst[cursor[s as usize] as usize] = d;
-            cursor[s as usize] += 1;
-        }
-        let mut rem_dst = vec![
-            RemoteEdge {
-                patch: PatchId(0),
-                cell: 0
-            };
-            rem_edges.len()
-        ];
-        let mut cursor = rem_off[..n].to_vec();
-        for &(s, d) in &rem_edges {
-            rem_dst[cursor[s as usize] as usize] = d;
-            cursor[s as usize] += 1;
-        }
+        int_dst.shrink_to_fit();
+        int_face.shrink_to_fit();
+        int_slot.shrink_to_fit();
 
         Subgraph {
             patch,
@@ -137,6 +182,8 @@ impl Subgraph {
             in_degree,
             int_off,
             int_dst,
+            int_face,
+            int_slot,
             rem_off,
             rem_dst,
         }
@@ -147,10 +194,17 @@ impl Subgraph {
         self.cells.len()
     }
 
+    /// Index range into `int_dst`/`int_face`/`int_slot` for local
+    /// vertex `v`'s internal edges.
+    #[inline]
+    pub fn int_range(&self, v: u32) -> std::ops::Range<usize> {
+        self.int_off[v as usize] as usize..self.int_off[v as usize + 1] as usize
+    }
+
     /// Internal downwind targets of local vertex `v`.
     #[inline]
     pub fn internal_succ(&self, v: u32) -> &[u32] {
-        &self.int_dst[self.int_off[v as usize] as usize..self.int_off[v as usize + 1] as usize]
+        &self.int_dst[self.int_range(v)]
     }
 
     /// Index range into `rem_dst` for local vertex `v`'s remote edges.
@@ -199,6 +253,7 @@ impl Subgraph {
     /// Build the subgraphs of *all* patches for one direction.
     pub fn build_all<T: SweepTopology + ?Sized>(
         mesh: &T,
+        faces: &ReciprocalFaces,
         patches: &PatchSet,
         angle: AngleId,
         dir: [f64; 3],
@@ -206,7 +261,7 @@ impl Subgraph {
     ) -> Vec<Subgraph> {
         patches
             .patches()
-            .map(|p| Subgraph::build(mesh, patches, p, angle, dir, broken))
+            .map(|p| Subgraph::build(mesh, faces, patches, p, angle, dir, broken))
             .collect()
     }
 }
@@ -275,6 +330,7 @@ mod tests {
         let ps = PatchSet::single(m.num_cells());
         let sub = Subgraph::build(
             &m,
+            &ReciprocalFaces::new(&m),
             &ps,
             PatchId(0),
             AngleId(0),
@@ -295,6 +351,7 @@ mod tests {
         let ps = PatchSet::single(m.num_cells());
         let sub = Subgraph::build(
             &m,
+            &ReciprocalFaces::new(&m),
             &ps,
             PatchId(0),
             AngleId(0),
@@ -313,7 +370,14 @@ mod tests {
         let (m, ps) = setup();
         let q = QuadratureSet::sn(2);
         for (a, o) in q.iter() {
-            let subs = Subgraph::build_all(&m, &ps, a, o.dir, &HashSet::new());
+            let subs = Subgraph::build_all(
+                &m,
+                &ReciprocalFaces::new(&m),
+                &ps,
+                a,
+                o.dir,
+                &HashSet::new(),
+            );
             check_edge_degree_balance(&subs).unwrap();
         }
     }
@@ -321,9 +385,22 @@ mod tests {
     #[test]
     fn opposite_directions_swap_degrees() {
         let (m, ps) = setup();
-        let subs_fwd = Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 1.0, 1.0], &HashSet::new());
-        let subs_bwd =
-            Subgraph::build_all(&m, &ps, AngleId(1), [-1.0, -1.0, -1.0], &HashSet::new());
+        let subs_fwd = Subgraph::build_all(
+            &m,
+            &ReciprocalFaces::new(&m),
+            &ps,
+            AngleId(0),
+            [1.0, 1.0, 1.0],
+            &HashSet::new(),
+        );
+        let subs_bwd = Subgraph::build_all(
+            &m,
+            &ReciprocalFaces::new(&m),
+            &ps,
+            AngleId(1),
+            [-1.0, -1.0, -1.0],
+            &HashSet::new(),
+        );
         let total_edges_fwd: usize = subs_fwd.iter().map(|s| s.num_edges()).sum();
         let total_edges_bwd: usize = subs_bwd.iter().map(|s| s.num_edges()).sum();
         assert_eq!(total_edges_fwd, total_edges_bwd);
@@ -332,7 +409,14 @@ mod tests {
     #[test]
     fn exit_vertices_touch_patch_boundary() {
         let (m, ps) = setup();
-        let subs = Subgraph::build_all(&m, &ps, AngleId(0), [1.0, 1.0, 1.0], &HashSet::new());
+        let subs = Subgraph::build_all(
+            &m,
+            &ReciprocalFaces::new(&m),
+            &ps,
+            AngleId(0),
+            [1.0, 1.0, 1.0],
+            &HashSet::new(),
+        );
         for sub in &subs {
             for v in sub.exit_vertices() {
                 assert!(!sub.remote_succ(v).is_empty());
@@ -349,7 +433,15 @@ mod tests {
         let ps = PatchSet::single(2);
         let mut broken = HashSet::new();
         broken.insert((0u32, 1u32));
-        let sub = Subgraph::build(&m, &ps, PatchId(0), AngleId(0), [1.0, 0.0, 0.0], &broken);
+        let sub = Subgraph::build(
+            &m,
+            &ReciprocalFaces::new(&m),
+            &ps,
+            PatchId(0),
+            AngleId(0),
+            [1.0, 0.0, 0.0],
+            &broken,
+        );
         assert_eq!(sub.in_degree, vec![0, 0]);
         assert!(sub.int_dst.is_empty());
     }
@@ -359,6 +451,7 @@ mod tests {
         let (m, ps) = setup();
         let sub = Subgraph::build(
             &m,
+            &ReciprocalFaces::new(&m),
             &ps,
             PatchId(0),
             AngleId(0),
@@ -376,7 +469,14 @@ mod tests {
         let ps = partition::decompose_unstructured(&m, 40, 2);
         let q = QuadratureSet::sn(2);
         for (a, o) in q.iter().take(3) {
-            let subs = Subgraph::build_all(&m, &ps, a, o.dir, &HashSet::new());
+            let subs = Subgraph::build_all(
+                &m,
+                &ReciprocalFaces::new(&m),
+                &ps,
+                a,
+                o.dir,
+                &HashSet::new(),
+            );
             check_edge_degree_balance(&subs).unwrap();
             for sub in &subs {
                 assert!(crate::dag::is_acyclic(&sub.internal_csr()));

@@ -163,6 +163,7 @@ mod tests {
         let ps = PatchSet::single(m.num_cells());
         Subgraph::build(
             &m,
+            &crate::ReciprocalFaces::new(&m),
             &ps,
             jsweep_mesh::PatchId(0),
             AngleId(0),
@@ -214,6 +215,7 @@ mod tests {
         let ps = PatchSet::from_assignment(vec![0, 1], 2);
         let sub1 = Subgraph::build(
             &m,
+            &crate::ReciprocalFaces::new(&m),
             &ps,
             jsweep_mesh::PatchId(1),
             AngleId(0),
@@ -237,6 +239,7 @@ mod tests {
         let ps = PatchSet::single(2);
         let sub = Subgraph::build(
             &m,
+            &crate::ReciprocalFaces::new(&m),
             &ps,
             jsweep_mesh::PatchId(0),
             AngleId(0),
@@ -255,6 +258,7 @@ mod tests {
         let ps = PatchSet::single(3);
         let sub = Subgraph::build(
             &m,
+            &crate::ReciprocalFaces::new(&m),
             &ps,
             jsweep_mesh::PatchId(0),
             AngleId(0),
@@ -272,6 +276,7 @@ mod tests {
         let ps = PatchSet::from_assignment(vec![0, 1], 2);
         let sub0 = Subgraph::build(
             &m,
+            &crate::ReciprocalFaces::new(&m),
             &ps,
             jsweep_mesh::PatchId(0),
             AngleId(0),
@@ -295,7 +300,15 @@ mod tests {
         let ps = PatchSet::single(m.num_cells());
         let q = jsweep_quadrature::QuadratureSet::sn(2);
         for (a, o) in q.iter() {
-            let sub = Subgraph::build(&m, &ps, jsweep_mesh::PatchId(0), a, o.dir, &HashSet::new());
+            let sub = Subgraph::build(
+                &m,
+                &crate::ReciprocalFaces::new(&m),
+                &ps,
+                jsweep_mesh::PatchId(0),
+                a,
+                o.dir,
+                &HashSet::new(),
+            );
             let prio = crate::priority::vertex_priorities(&sub, crate::PriorityStrategy::Slbd);
             let mut st = SweepState::with_priorities(&sub, &prio);
             let mut seen = vec![false; m.num_cells()];

@@ -183,13 +183,13 @@ pub trait SweepTopology: Sync {
 }
 
 /// Index of the face of `cell` that touches interior neighbour
-/// `neighbor`, or `None` when the two cells are not adjacent.
+/// `neighbor` (the first such face), or `None` when the two cells are
+/// not adjacent.
 ///
-/// The single definition of face-toward-neighbour lookup shared by the
-/// transport stack (fine stream ingest, the kernel's local downwind
-/// write, and the replay plan compiler): their face-slot arithmetic
-/// must agree exactly, because the replay wire format ships
-/// sender-resolved slots the receiver indexes with.
+/// A linear scan over the cell's faces. The parallel sweep runs it once
+/// per interior face of a mesh, when `jsweep_graph::ReciprocalFaces`
+/// builds the table every edge's consumer slot is read from; the
+/// serial golden solver runs it directly.
 pub fn face_toward<T: SweepTopology + ?Sized>(
     mesh: &T,
     cell: usize,

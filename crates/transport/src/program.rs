@@ -16,19 +16,20 @@
 //!   recorded vertex list in order, and emits exactly one stream per
 //!   outgoing coarse edge, with no per-vertex bookkeeping.
 //!
-//! Stream payload formats (see `jsweep_comm::pack`): fine streams are
-//! `u32 item_count` then per item `u32 dst_cell`, `u32 src_cell`,
-//! `groups × f64` face flux values (the receiver resolves the upwind
-//! slot through the factory's pre-built `(dst_cell, src_cell) → face`
-//! [`IngestTable`] — no per-item face scan). Coarse streams are fully
-//! pre-resolved at plan-build time: `u32 dst_cluster`, `u32 item_count`,
-//! then `item_count × u32 dst_slot` (`local_cell * max_faces + face` on
-//! the receiver — written straight into `face_flux`, no adjacency
-//! scan), then `item_count × groups × f64` flux values. The constant
-//! prefix (header + slot block) is pre-packed per coarse edge at
-//! plan-compile time ([`crate::replay::ReplayEmit::skeleton`]), so
-//! replay packing is one memcpy plus the flux writes, and the receiver
-//! issues one `receive()` per stream instead of one per item.
+//! Both modes share one stream payload format (see `jsweep_comm::pack`):
+//! `u32 cluster`, `u32 item_count`, `item_count × u32 dst_slot`, then
+//! `item_count × groups × f64` face-flux values. `dst_slot` is the
+//! consumer's face-flux slot (`local_cell * max_faces + face`), read
+//! from the subgraph edge ([`jsweep_graph::RemoteEdge::slot`], resolved
+//! once per problem), so the receiver writes it straight into
+//! `face_flux` with no adjacency lookup. Only the in-degree step
+//! differs: a fine stream (one per target patch per compute call,
+//! cluster `u32::MAX`) decrements vertex `dst_slot / max_faces` once
+//! per item; a replay stream (one per coarse edge) decrements its
+//! target coarse vertex once. Replay pre-packs the constant prefix per
+//! coarse edge at plan-compile time
+//! ([`crate::replay::ReplayEmit::skeleton`]), so its packing is one
+//! memcpy plus the flux writes.
 //!
 //! Under a persistent universe (`jsweep_core::Universe`) the programs
 //! stay resident for the whole solve: each source iteration is one
@@ -50,8 +51,6 @@ use jsweep_graph::{Subgraph, SweepProblem, SweepState};
 use jsweep_mesh::{PatchId, SweepTopology};
 use jsweep_quadrature::QuadratureSet;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -214,68 +213,22 @@ pub struct SweepEpoch {
     pub materials: Option<Arc<MaterialSet>>,
 }
 
-/// Multiply-mix hasher over the packed `(dst_cell, src_cell)` key of
-/// the [`IngestTable`] (one `u64` write). SipHash buys nothing for an
-/// internal adjacency map and costs real time on the per-item fine
-/// ingest path.
-#[derive(Default)]
-pub struct CellPairHasher {
-    state: u64,
-}
+/// The cluster word of a fine stream, which names no coarse vertex.
+const FINE_CLUSTER: u32 = u32::MAX;
 
-impl Hasher for CellPairHasher {
-    fn finish(&self) -> u64 {
-        self.state
+/// Write a sweep stream's prefix: `u32 cluster`, `u32 item_count`, then
+/// the consumer slot of every item. Fine streams write it per stream,
+/// replay plans once per coarse edge ([`crate::replay::ReplayEmit`]).
+pub(crate) fn put_stream_head(
+    w: &mut Writer,
+    cluster: u32,
+    slots: impl ExactSizeIterator<Item = u32>,
+) {
+    w.put_u32(cluster);
+    w.put_u32(slots.len() as u32);
+    for slot in slots {
+        w.put_u32(slot);
     }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = (self.state ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(31) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// Pre-resolved fine-path ingest table: packed `(dst_cell, src_cell)`
-/// key (`dst << 32 | src`) → the face of `dst_cell` touching
-/// `src_cell`, for every cross-patch adjacent cell pair. Built once
-/// per problem by [`SweepFactory::new`]; replaces the per-item
-/// `face_toward` scan the recording iteration (and the
-/// `coarsen = false` path) used to pay per stream item per iteration.
-pub type IngestTable = HashMap<u64, u32, BuildHasherDefault<CellPairHasher>>;
-
-/// Pack an ingest-table key.
-#[inline]
-fn pair_key(dst: u32, src: u32) -> u64 {
-    (u64::from(dst) << 32) | u64::from(src)
-}
-
-/// Build the [`IngestTable`] of a decomposed mesh: one entry per
-/// ordered cross-patch adjacent cell pair (the only pairs that ever
-/// appear in fine stream items).
-pub fn build_ingest_table<T: SweepTopology + ?Sized>(
-    mesh: &T,
-    patches: &jsweep_mesh::PatchSet,
-) -> IngestTable {
-    let mut table = IngestTable::default();
-    for c in 0..mesh.num_cells() {
-        let pc = patches.patch_of(c);
-        for f in 0..mesh.num_faces(c) {
-            let Some(nb) = mesh.face(c, f).neighbor.cell() else {
-                continue;
-            };
-            if patches.patch_of(nb) != pc {
-                // A stream item (dst = c, src = nb) lands on face f.
-                // First face wins, matching `face_toward`'s scan order
-                // (relevant only if a pair ever shared two faces).
-                table
-                    .entry(pair_key(c as u32, nb as u32))
-                    .or_insert(f as u32);
-            }
-        }
-    }
-    table
 }
 
 /// Everything the sweep programs of one source iteration share.
@@ -304,26 +257,14 @@ pub struct SweepSetup<T: SweepTopology + Send + Sync + 'static> {
 /// `(patch, angle)`.
 pub struct SweepFactory<T: SweepTopology + Send + Sync + 'static> {
     setup: SweepSetup<T>,
-    /// Pre-resolved `(dst_cell, src_cell) → face` table shared by all
-    /// programs (fine-path ingest, see [`build_ingest_table`]).
-    ingest: Arc<IngestTable>,
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> SweepFactory<T> {
-    /// Wrap a setup (pre-resolving the fine-path ingest table).
+    /// Wrap a setup.
     pub fn new(setup: SweepSetup<T>) -> SweepFactory<T> {
         assert!(setup.grain > 0);
         assert_eq!(setup.materials.num_cells(), setup.mesh.num_cells());
-        let ingest = Arc::new(build_ingest_table(
-            setup.mesh.as_ref(),
-            &setup.problem.patches,
-        ));
-        SweepFactory { setup, ingest }
-    }
-
-    fn max_faces(&self) -> usize {
-        // Homogeneous element types in this reproduction: probe cell 0.
-        self.setup.mesh.num_faces(0)
+        SweepFactory { setup }
     }
 }
 
@@ -343,26 +284,6 @@ enum Sched {
         task: Arc<ReplayTask>,
         vertices_left: u64,
     },
-}
-
-/// Pre-resolved destination of one downwind face of a cluster cell,
-/// hoisted once per [`SweepProgram::kernel_cluster`] call so the
-/// group-block passes route with a copy instead of re-walking mesh
-/// adjacency per (face, group block).
-#[derive(Clone, Copy)]
-enum FaceRoute {
-    /// Upwind, flow-0, boundary or cycle-broken face: nothing to write.
-    Skip,
-    /// Local downwind neighbour: `face_flux` slot
-    /// (`neighbour_local * max_faces + neighbour_face`).
-    Local(u32),
-    /// Remote downwind neighbour: staging index into the subgraph's
-    /// remote CSR ([`Subgraph::rem_dst`]). Indices are assigned by a
-    /// running per-vertex counter — remote downwind faces are visited
-    /// in the same face order the subgraph packed its remote CSR in,
-    /// so the k-th remote face of vertex `v` stages at
-    /// `rem_off[v] + k` without a position scan.
-    Remote(u32),
 }
 
 /// The patch-program of one `(patch, angle)` sweep task.
@@ -391,123 +312,57 @@ pub struct SweepProgram<T: SweepTopology + Send + Sync + 'static> {
     /// Outgoing remote face-flux staging per
     /// `fine_remote_edge * groups`, addressed by the subgraph's remote
     /// CSR in both scheduling modes: the group-block kernel passes
-    /// write block sub-slices here, then fine mode assembles stream
-    /// items from it post-hoc and coarse mode's pre-resolved
-    /// [`ReplayTask`] emissions read it directly.
+    /// write block sub-slices here, and both modes pack their stream
+    /// flux blocks from it.
     remote_vals: Vec<f64>,
-    /// Shared `(dst_cell, src_cell) → face` ingest table (fine path).
-    ingest: Arc<IngestTable>,
-    /// Fine-path per-destination stream writers, persistent across
-    /// compute calls and epochs (entries keep their map slot; buffers
-    /// are frozen into payloads per flush).
-    stream_writers: HashMap<PatchId, Writer>,
-    /// Item counts matching [`SweepProgram::stream_writers`].
-    stream_counts: HashMap<PatchId, u32>,
-    /// Coarse-path ingest scratch: the slot block of the stream being
-    /// consumed (reused across inputs).
+    /// Fine-path scratch: a cluster's `(consumer patch, remote-CSR
+    /// index)` pairs, grouped into one stream per patch (reused across
+    /// compute calls).
+    emit_scratch: Vec<(PatchId, u32)>,
+    /// Ingest scratch: the slot block of the stream being consumed
+    /// (reused across inputs).
     slot_scratch: Vec<u32>,
     /// Per-cluster hoisted cell geometry (phase 0 of
     /// [`SweepProgram::kernel_cluster`]; reused across calls).
     geom_scratch: Vec<CellGeom>,
-    /// Per-cluster hoisted face routes, `cluster_len * max_faces`
-    /// (reused across calls).
-    route_scratch: Vec<FaceRoute>,
 }
 
 impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
-    /// Ingest one *fine* stream item (`dst_cell`, `src_cell`, `groups`
-    /// flux values): resolve the destination's upwind face through the
-    /// pre-built [`IngestTable`] (no face scan) and write the values
-    /// into that slot. Returns the destination's local vertex index.
-    /// (Coarse streams skip even the table — their items carry the
-    /// plan-resolved slot on the wire.)
-    fn ingest_item(&mut self, r: &mut Reader) -> u32 {
-        let dst_cell = r.get_u32();
-        let src_cell = r.get_u32();
-        let li = self.problem.patches.local_index(dst_cell as usize);
-        let face = *self
-            .ingest
-            .get(&pair_key(dst_cell, src_cell))
-            .expect("stream item with non-adjacent cells") as usize;
-        for g in 0..self.groups {
-            self.face_flux[(li * self.max_faces + face) * self.groups + g] = r.get_f64();
-        }
-        li as u32
-    }
-
     /// Run the numerical kernel over `cluster` (in order): solve every
     /// cell, accumulate the angular-weighted scalar flux, write local
     /// downwind face fluxes in place and stage remote ones in
-    /// `remote_vals` (CSR-addressed, consumed by the fine stream
-    /// assembly or the coarse emissions). Identical physics in both
-    /// scheduling modes — which is what makes the coarse replay
-    /// bit-identical to the fine path.
+    /// `remote_vals` (CSR-addressed, packed into streams by both
+    /// modes). Identical physics in both scheduling modes — which is
+    /// what makes the coarse replay bit-identical to the fine path.
     ///
     /// Cache-blocked: phase 0 hoists per-cell geometry ([`CellGeom`])
-    /// and face routes once; phase 1 then streams the cell list once
-    /// per [`GROUP_BLOCK`]-wide group block, so each pass touches
+    /// once; phase 1 then streams the cell list once per
+    /// [`GROUP_BLOCK`]-wide group block, so each pass touches
     /// contiguous block sub-slices of `face_flux` / `phi_part` /
     /// `remote_vals` and the innermost group loops autovectorize (see
-    /// [`crate::kernel`]). Every pass walks the cluster in its
-    /// (topological) order, which preserves in-cluster upwind/downwind
-    /// dependencies per block exactly as the scalar path did per
-    /// group.
-    fn kernel_cluster(&mut self, sub: &Subgraph, broken: &HashSet<(u32, u32)>, cluster: &[u32]) {
+    /// [`crate::kernel`]). Outgoing blocks go straight to the slots the
+    /// subgraph's edges name (cycle-broken edges are not stored, so the
+    /// consumer keeps its vacuum face). Every pass walks the cluster in
+    /// its (topological) order, which preserves in-cluster
+    /// upwind/downwind dependencies per block exactly as the scalar
+    /// path did per group.
+    fn kernel_cluster(&mut self, sub: &Subgraph, cluster: &[u32]) {
         let mesh = self.setup_mesh.clone();
         let materials = self.materials.clone();
         let emission = self.emission.clone();
-        let problem = self.problem.clone();
-        let patches = &problem.patches;
         let groups = self.groups;
         let mf = self.max_faces;
 
-        // Phase 0 — hoist geometry and routes, once per cluster
-        // instead of once per (cell, group): this is where the
-        // structured mesh's per-call FaceInfo arithmetic and the
-        // neighbour/patch/broken-edge resolution drop out of the group
-        // loop entirely.
+        // Phase 0 — hoist geometry once per cluster instead of once per
+        // (cell, group): the structured mesh's per-call FaceInfo
+        // arithmetic drops out of the group loop entirely.
         let mut geoms = std::mem::take(&mut self.geom_scratch);
-        let mut routes = std::mem::take(&mut self.route_scratch);
         geoms.clear();
-        routes.clear();
-        routes.resize(cluster.len() * mf, FaceRoute::Skip);
-        for (i, &v) in cluster.iter().enumerate() {
-            let cell = sub.cells[v as usize] as usize;
-            let geom = CellGeom::new(mesh.as_ref(), cell, self.dir);
-            let mut rem_seen = 0u32;
-            for f in 0..geom.nf {
-                if geom.flow[f] <= 0.0 {
-                    continue;
-                }
-                let Some(nb) = mesh.face(cell, f).neighbor.cell() else {
-                    continue;
-                };
-                if !broken.is_empty() && broken.contains(&(cell as u32, nb as u32)) {
-                    // Cycle-broken edge: the consumer treats this
-                    // face as vacuum; do not write or stream it.
-                    continue;
-                }
-                let nb_patch = patches.patch_of(nb);
-                routes[i * mf + f] = if nb_patch == self.id.patch {
-                    let nli = patches.local_index(nb);
-                    let nface = jsweep_mesh::face_toward(mesh.as_ref(), nb, cell)
-                        .expect("downwind neighbour without reciprocal face");
-                    FaceRoute::Local((nli * mf + nface) as u32)
-                } else {
-                    // `Subgraph::build` packs a vertex's remote edges
-                    // in this very face order (broken and flow-0
-                    // faces skipped on both sides).
-                    let k = sub.rem_off[v as usize] + rem_seen;
-                    rem_seen += 1;
-                    debug_assert_eq!(
-                        sub.rem_dst[k as usize].cell, nb as u32,
-                        "remote CSR order diverged from face order"
-                    );
-                    FaceRoute::Remote(k)
-                };
-            }
-            geoms.push(geom);
-        }
+        geoms.extend(
+            cluster
+                .iter()
+                .map(|&v| CellGeom::new(mesh.as_ref(), sub.cells[v as usize] as usize, self.dir)),
+        );
 
         // Phase 1 — group-block passes over the cluster's cell list.
         let mut vals = std::mem::take(&mut self.remote_vals);
@@ -544,33 +399,49 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
                 for (p, &x) in phi.iter_mut().zip(psi.iter()) {
                     *p += self.weight * x;
                 }
-                // Route the outgoing face-flux blocks.
-                for f in 0..geom.nf {
-                    let blk = &out[f * GROUP_BLOCK..f * GROUP_BLOCK + b];
-                    match routes[i * mf + f] {
-                        FaceRoute::Skip => {}
-                        FaceRoute::Local(slot) => {
-                            let s = slot as usize * groups + g0;
-                            self.face_flux[s..s + b].copy_from_slice(blk);
-                        }
-                        FaceRoute::Remote(k) => {
-                            let s = k as usize * groups + g0;
-                            vals[s..s + b].copy_from_slice(blk);
-                        }
-                    }
+                // Route the outgoing face-flux blocks along the edges.
+                let block = |f: u8| &out[f as usize * GROUP_BLOCK..][..b];
+                for e in sub.int_range(v) {
+                    let s = sub.int_slot[e] as usize * groups + g0;
+                    self.face_flux[s..s + b].copy_from_slice(block(sub.int_face[e]));
+                }
+                for k in sub.rem_range(v) {
+                    let s = k * groups + g0;
+                    vals[s..s + b].copy_from_slice(block(sub.rem_dst[k].face));
                 }
             }
             g0 += b;
         }
         self.remote_vals = vals;
         self.geom_scratch = geoms;
-        self.route_scratch = routes;
+    }
+
+    /// Pack one sweep stream to `(patch, this angle)`: `w` already holds
+    /// the prefix (see [`put_stream_head`]); append the flux block of
+    /// `edges` (remote-CSR indices) from the staging. Both modes pack
+    /// through here.
+    fn pack_stream(
+        &self,
+        mut w: Writer,
+        patch: PatchId,
+        edges: impl Iterator<Item = usize>,
+    ) -> Stream {
+        for k in edges {
+            for g in 0..self.groups {
+                w.put_f64(self.remote_vals[k * self.groups + g]);
+            }
+        }
+        Stream {
+            src: self.id,
+            dst: ProgramId::new(patch, self.id.task),
+            payload: w.finish(),
+        }
     }
 
     /// Fine-mode `compute()`: pop a cluster of ready vertices
     /// (recording it when tracing), run the kernel, emit one stream per
     /// target patch (clustering aggregates messages, §V-C benefit 2).
-    fn compute_fine(&mut self, ctx: &mut ComputeCtx, sub: &Subgraph, broken: &HashSet<(u32, u32)>) {
+    fn compute_fine(&mut self, ctx: &mut ComputeCtx, sub: &Subgraph) {
         let Sched::Fine { state, trace } = &mut self.sched else {
             unreachable!("compute_fine on a coarse program");
         };
@@ -584,59 +455,31 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
         }
         ctx.work_done = cluster.len() as u64;
 
-        // Numerical kernel + stream assembly (writers/counts are
-        // program-resident: map slots persist across compute calls and
-        // epochs).
-        let mut writers = std::mem::take(&mut self.stream_writers);
-        let mut counts = std::mem::take(&mut self.stream_counts);
-        let groups = self.groups;
-        ctx.kernel(|| {
-            self.kernel_cluster(sub, broken, &cluster);
-            // Phase 2 — assemble the per-patch stream items from the
-            // staged remote values, in (vertex, remote-CSR) order:
-            // the CSR is packed in face order, so the items (and
-            // therefore the wire bytes) are exactly what per-cell
-            // streaming produced. Writers are persistent (reused
-            // across compute calls and epochs): an empty one starts a
-            // fresh payload with the count placeholder patched at
-            // emission.
+        let mut edges = std::mem::take(&mut self.emit_scratch);
+        let streams = ctx.kernel(|| {
+            self.kernel_cluster(sub, &cluster);
+            // One stream per target patch, in patch order, its items in
+            // (vertex, remote-CSR) order: the stable sort keeps the CSR
+            // (face) order within each patch.
+            edges.clear();
             for &v in &cluster {
-                let src = sub.cells[v as usize];
-                for k in sub.rem_range(v) {
-                    let dst = sub.rem_dst[k];
-                    let w = writers.entry(dst.patch).or_default();
-                    if w.is_empty() {
-                        w.put_u32(0); // patched below
-                    }
-                    w.put_u32(dst.cell);
-                    w.put_u32(src);
-                    for g in 0..groups {
-                        w.put_f64(self.remote_vals[k * groups + g]);
-                    }
-                    *counts.entry(dst.patch).or_default() += 1;
-                }
+                edges.extend(sub.rem_range(v).map(|k| (sub.rem_dst[k].patch, k as u32)));
             }
+            edges.sort_by_key(|&(patch, _)| patch);
+            edges
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|run| {
+                    let mut w = Writer::with_capacity(8 + run.len() * (4 + 8 * self.groups));
+                    let slots = run.iter().map(|&(_, k)| sub.rem_dst[k as usize].slot);
+                    put_stream_head(&mut w, FINE_CLUSTER, slots);
+                    self.pack_stream(w, run[0].0, run.iter().map(|&(_, k)| k as usize))
+                })
+                .collect::<Vec<_>>()
         });
-
-        let mut targets: Vec<PatchId> = counts
-            .iter()
-            .filter(|(_, &c)| c > 0)
-            .map(|(p, _)| *p)
-            .collect();
-        targets.sort_unstable();
-        for patch in targets {
-            let w = writers.get_mut(&patch).expect("counted patch has a writer");
-            let mut bytes = w.take().to_vec();
-            bytes[..4].copy_from_slice(&counts[&patch].to_le_bytes());
-            counts.insert(patch, 0);
-            ctx.send(Stream {
-                src: self.id,
-                dst: ProgramId::new(patch, self.id.task),
-                payload: Bytes::from(bytes),
-            });
+        self.emit_scratch = edges;
+        for stream in streams {
+            ctx.send(stream);
         }
-        self.stream_writers = writers;
-        self.stream_counts = counts;
 
         // On completion, deposit the scalar-flux contribution and, when
         // recording, the cluster trace.
@@ -658,12 +501,7 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
     /// vertex, execute its recorded vertex list in order, and emit
     /// exactly one stream per outgoing coarse edge — no per-vertex
     /// in-degree bookkeeping, no priority recomputation.
-    fn compute_coarse(
-        &mut self,
-        ctx: &mut ComputeCtx,
-        sub: &Subgraph,
-        broken: &HashSet<(u32, u32)>,
-    ) {
+    fn compute_coarse(&mut self, ctx: &mut ComputeCtx, sub: &Subgraph) {
         let (task, cv) = {
             let Sched::Coarse {
                 state,
@@ -689,34 +527,21 @@ impl<T: SweepTopology + Send + Sync + 'static> SweepProgram<T> {
         );
         ctx.work_done = cluster.len() as u64;
 
-        let groups = self.groups;
         // Serialization happens inside the kernel closure, exactly as
-        // the fine path packs its stream items there — keeping the
+        // the fine path packs its streams there — keeping the
         // Kernel/GraphOp split comparable between the two modes.
         let streams = ctx.kernel(|| {
-            self.kernel_cluster(sub, broken, cluster);
-            // One stream per outgoing coarse edge, items pre-resolved
-            // against the same remote-CSR staging the kernel wrote.
+            self.kernel_cluster(sub, cluster);
+            // One stream per outgoing coarse edge: the pre-packed
+            // skeleton (one memcpy), then the flux block.
             task.emits[cv as usize]
                 .iter()
                 .map(|emit| {
-                    // Stream size is exactly known at plan-build time:
-                    // the pre-packed skeleton (header + slot block,
-                    // one memcpy) followed by the flux block.
-                    let mut w =
-                        Writer::with_capacity(emit.skeleton.len() + emit.items.len() * 8 * groups);
+                    let cap = emit.skeleton.len() + emit.items.len() * 8 * self.groups;
+                    let mut w = Writer::with_capacity(cap);
                     w.put_bytes(&emit.skeleton);
-                    for item in &emit.items {
-                        let k = item.rem_idx as usize;
-                        for g in 0..groups {
-                            w.put_f64(self.remote_vals[k * groups + g]);
-                        }
-                    }
-                    Stream {
-                        src: self.id,
-                        dst: ProgramId::new(emit.patch, self.id.task),
-                        payload: w.finish(),
-                    }
+                    let edges = emit.items.iter().map(|item| item.rem_idx as usize);
+                    self.pack_stream(w, emit.patch, edges)
                 })
                 .collect::<Vec<_>>()
         });
@@ -749,39 +574,27 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
     }
 
     fn input(&mut self, _src: ProgramId, payload: Bytes) {
+        // The slot block, then the flux block written slot by slot —
+        // plain indexed writes, no adjacency lookup — then the mode's
+        // in-degree step.
         let mut r = Reader::new(payload);
-        if matches!(self.sched, Sched::Coarse { .. }) {
-            // One coarse edge per stream: the pre-packed slot block,
-            // the flux block, then a single in-degree decrement on the
-            // target coarse vertex. Slots are plan-resolved face-flux
-            // indices, so ingestion is a direct write — no adjacency
-            // scan.
-            let cv = r.get_u32();
-            let n = r.get_u32() as usize;
-            self.slot_scratch.clear();
-            self.slot_scratch.reserve(n);
-            for _ in 0..n {
-                self.slot_scratch.push(r.get_u32());
+        let cluster = r.get_u32();
+        let n = r.get_u32() as usize;
+        self.slot_scratch.clear();
+        self.slot_scratch.extend((0..n).map(|_| r.get_u32()));
+        for &slot in &self.slot_scratch {
+            let s = slot as usize * self.groups;
+            for x in &mut self.face_flux[s..s + self.groups] {
+                *x = r.get_f64();
             }
-            for i in 0..n {
-                let slot = self.slot_scratch[i] as usize;
-                for g in 0..self.groups {
-                    self.face_flux[slot * self.groups + g] = r.get_f64();
+        }
+        match &mut self.sched {
+            Sched::Fine { state, .. } => {
+                for &slot in &self.slot_scratch {
+                    state.receive(slot / self.max_faces as u32);
                 }
             }
-            let Sched::Coarse { state, .. } = &mut self.sched else {
-                unreachable!();
-            };
-            state.receive(cv);
-        } else {
-            let n = r.get_u32();
-            for _ in 0..n {
-                let li = self.ingest_item(&mut r);
-                let Sched::Fine { state, .. } = &mut self.sched else {
-                    unreachable!();
-                };
-                state.receive(li);
-            }
+            Sched::Coarse { state, .. } => state.receive(cluster),
         }
     }
 
@@ -789,11 +602,10 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
         let (p, a) = (self.id.patch.index(), self.id.task.0 as usize);
         let subs_arc = self.problem.subs[a].clone();
         let sub = &subs_arc[p];
-        let broken = self.problem.broken[a].clone();
         if matches!(self.sched, Sched::Coarse { .. }) {
-            self.compute_coarse(ctx, sub, &broken);
+            self.compute_coarse(ctx, sub);
         } else {
-            self.compute_fine(ctx, sub, &broken);
+            self.compute_fine(ctx, sub);
         }
     }
 
@@ -910,10 +722,6 @@ impl<T: SweepTopology + Send + Sync + 'static> PatchProgram for SweepProgram<T> 
         }
         self.remote_vals
             .resize(sub.rem_dst.len() * self.groups, 0.0);
-        debug_assert!(
-            self.stream_counts.values().all(|&c| c == 0),
-            "unsent stream items at epoch boundary"
-        );
     }
 }
 
@@ -925,7 +733,7 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
         let (p, a) = (id.patch.index(), id.task.0 as usize);
         let sub = &s.problem.subs[a][p];
         let groups = s.materials.num_groups();
-        let mf = self.max_faces();
+        let mf = s.problem.max_faces;
         let n = sub.num_vertices();
         let sched = match &s.mode {
             SweepMode::Fine { trace_bins } => Sched::Fine {
@@ -969,12 +777,9 @@ impl<T: SweepTopology + Send + Sync + 'static> ProgramFactory for SweepFactory<T
             face_flux: vec![0.0; n * mf * groups],
             phi_part: s.flux_bins.acquire(id.patch.index(), n * groups),
             remote_vals: vec![0.0; sub.rem_dst.len() * groups],
-            ingest: self.ingest.clone(),
-            stream_writers: HashMap::new(),
-            stream_counts: HashMap::new(),
+            emit_scratch: Vec::new(),
             slot_scratch: Vec::new(),
             geom_scratch: Vec::new(),
-            route_scratch: Vec::new(),
         }
     }
 

@@ -21,9 +21,9 @@
 //!   [`jsweep_graph::coarse::build_coarse`] per canonical angle (the
 //!   Theorem-1 acyclicity check on the *real* solver traces) and
 //!   resolves every coarse-edge item `P(ce)` down to two static
-//!   indices: the destination's incoming face-flux slot (shipped on
-//!   the wire, so the receiver does no adjacency scan) and the
-//!   source-side staging slot in the remote-edge CSR;
+//!   indices read off the fine remote edge: the destination's incoming
+//!   face-flux slot (shipped on the wire) and the source-side staging
+//!   slot in the remote-edge CSR;
 //! * **Cache** — a [`PlanCache`] keyed by [`PlanKey`] (mesh generation
 //!   stamp + a structural fingerprint of the compiled problem + grain)
 //!   carries plans across `solve_parallel_cached` calls, so multi-solve
@@ -34,6 +34,7 @@
 //!   fresh stamp). The stamp is part of the cache key *and* stored in
 //!   the plan, so a stale plan is rebuilt, never replayed.
 
+use crate::program::put_stream_head;
 use bytes::Bytes;
 use jsweep_graph::coarse::{build_coarse, ClusterTrace, CoarsenedTask};
 use jsweep_graph::SweepProblem;
@@ -59,11 +60,9 @@ pub fn new_trace_bins(num_tasks: usize) -> TraceBins {
 /// time — the replay hot path derives nothing per iteration.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayItem {
-    /// Incoming face-flux slot on the destination patch:
-    /// `local_cell * max_faces + face`, where `face` is the upwind face
-    /// of the destination cell that touches the producer. Shipped on
-    /// the wire, so the receiver writes `face_flux[dst_slot * groups ..]`
-    /// directly instead of scanning the destination cell's faces.
+    /// Incoming face-flux slot on the destination patch
+    /// ([`jsweep_graph::RemoteEdge::slot`]). Shipped on the wire, so the
+    /// receiver writes `face_flux[dst_slot * groups ..]` directly.
     pub dst_slot: u32,
     /// Index of the fine remote edge in the source subgraph's remote
     /// CSR — the slot of the staged outgoing face-flux values.
@@ -97,11 +96,7 @@ impl ReplayEmit {
     /// at the slot words — one plan stays valid for any group count.
     pub fn skeleton(cluster: u32, items: &[ReplayItem]) -> Bytes {
         let mut w = jsweep_comm::pack::Writer::with_capacity(8 + items.len() * 4);
-        w.put_u32(cluster);
-        w.put_u32(items.len() as u32);
-        for item in items {
-            w.put_u32(item.dst_slot);
-        }
+        put_stream_head(&mut w, cluster, items.iter().map(|item| item.dst_slot));
         w.finish()
     }
 }
@@ -232,17 +227,22 @@ pub fn collect_traces(problem: &SweepProblem, bins: &TraceBins) -> Vec<Vec<Clust
 /// Runs the Theorem-1 topological check once per canonical angle (via
 /// [`build_coarse`], which panics on a cyclic coarse graph — a
 /// scheduler bug) and resolves each coarse-edge item to its two static
-/// slots: the staging slot in the source subgraph's remote-edge CSR and
-/// the incoming face-flux slot on the destination patch (which is why
-/// compilation needs the mesh).
+/// slots, both read off the fine remote edge: the staging slot in the
+/// source subgraph's remote-edge CSR and the incoming face-flux slot on
+/// the destination patch. `mesh` must be the mesh `problem` was built
+/// from (checked by generation stamp).
 pub fn build_plan<T: SweepTopology + ?Sized>(
     problem: &SweepProblem,
     traces: &[Vec<ClusterTrace>],
     mesh: &T,
 ) -> CoarsePlan {
     assert_eq!(traces.len(), problem.num_angles);
+    assert_eq!(
+        mesh.generation(),
+        problem.mesh_generation,
+        "plan compiled against a mesh the problem was not built from"
+    );
     let t0 = std::time::Instant::now();
-    let mf = mesh.num_faces(0) as u32;
     let mut tasks: Vec<Vec<Arc<ReplayTask>>> = Vec::with_capacity(problem.num_angles);
     for (a, angle_traces) in traces.iter().enumerate() {
         let c = problem.canonical_angle(a);
@@ -268,7 +268,7 @@ pub fn build_plan<T: SweepTopology + ?Sized>(
                                 let items: Vec<ReplayItem> = e
                                     .items
                                     .iter()
-                                    .map(|&(v, cell)| resolve_item(problem, sub, mesh, mf, v, cell))
+                                    .map(|&(v, cell)| resolve_item(sub, v, cell))
                                     .collect();
                                 let skeleton = ReplayEmit::skeleton(e.cluster, &items);
                                 ReplayEmit {
@@ -295,30 +295,14 @@ pub fn build_plan<T: SweepTopology + ?Sized>(
 
 /// Resolve one coarse-edge item `(source local vertex, destination
 /// global cell)` to its wire/staging form (see [`ReplayItem`]).
-fn resolve_item<T: SweepTopology + ?Sized>(
-    problem: &SweepProblem,
-    sub: &jsweep_graph::Subgraph,
-    mesh: &T,
-    mf: u32,
-    v: u32,
-    cell: u32,
-) -> ReplayItem {
-    let src_cell = sub.cells[v as usize] as usize;
-    let local = sub
-        .remote_succ(v)
-        .iter()
-        .position(|re| re.cell == cell)
+fn resolve_item(sub: &jsweep_graph::Subgraph, v: u32, cell: u32) -> ReplayItem {
+    let k = sub
+        .rem_range(v)
+        .find(|&k| sub.rem_dst[k].cell == cell)
         .expect("coarse-edge item without fine edge");
-    // The upwind face of the destination cell that touches the
-    // producer — the scan `ingest_item` used to run per item per
-    // iteration, now run once per item per plan build.
-    let dst = cell as usize;
-    let face = jsweep_mesh::face_toward(mesh, dst, src_cell)
-        .expect("coarse-edge item with non-adjacent cells") as u32;
-    let dst_li = problem.patches.local_index(dst) as u32;
     ReplayItem {
-        dst_slot: dst_li * mf + face,
-        rem_idx: sub.rem_off[v as usize] + local as u32,
+        dst_slot: sub.rem_dst[k].slot,
+        rem_idx: k as u32,
     }
 }
 

@@ -180,11 +180,24 @@ macro_rules! conformance_suite {
             /// through the normal receive path.
             #[test]
             fn self_send_loops_back() {
+                const GO: u32 = 10;
                 world(2, |mut comm| {
                     let rank = comm.rank();
+                    // Every barrier message targets rank 0, so rank 0
+                    // loops back first and only then lets the others
+                    // go: no peer traffic can queue ahead of a
+                    // rank's own message.
+                    if rank != 0 {
+                        comm.recv_match(GO).unwrap();
+                    }
                     comm.send(rank, 9, Bytes::copy_from_slice(b"me")).unwrap();
                     let m = comm.recv().unwrap();
                     assert_eq!((m.src, m.tag, &m.payload[..]), (rank, 9, &b"me"[..]));
+                    if rank == 0 {
+                        for r in 1..comm.size() {
+                            comm.send(r, GO, Bytes::new()).unwrap();
+                        }
+                    }
                     comm.barrier().unwrap();
                 });
             }

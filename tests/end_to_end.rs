@@ -582,14 +582,15 @@ fn des_and_threaded_replay_consume_identical_coarse_graphs() {
 
 #[test]
 fn deformed_mesh_sweeps_complete_with_cycle_breaking() {
-    use jsweep::graph::{cycles, Subgraph, SweepState};
+    use jsweep::graph::{cycles, ReciprocalFaces, Subgraph, SweepState};
 
     let mesh = jsweep::mesh::deformed::DeformedMesh::jittered(6, 6, 6, 0.35, 11);
     let quad = QuadratureSet::sn(2);
     let patches = PatchSet::single(mesh.num_cells());
+    let faces = ReciprocalFaces::new(&mesh);
     for (a, o) in quad.iter() {
         let broken = cycles::broken_edges_for_direction(&mesh, o.dir);
-        let sub = Subgraph::build(&mesh, &patches, PatchId(0), a, o.dir, &broken);
+        let sub = Subgraph::build(&mesh, &faces, &patches, PatchId(0), a, o.dir, &broken);
         let mut st = SweepState::with_priorities(&sub, &vec![0; sub.num_vertices()]);
         while !st.is_complete() {
             let cluster = st.pop_cluster(&sub, 64, |_, _| {});
@@ -835,6 +836,65 @@ fn multigroup16_tet_fine_vs_replay_bit_identical() {
         fine.phi, replay.phi,
         "G=16 tet replay flux must be bit-identical"
     );
+}
+
+#[test]
+fn sweep_wire_bytes_follow_the_stream_layout() {
+    // Fine and replay streams share one layout: an 8-byte head
+    // (`cluster`, `item_count`), then per item a 4-byte consumer slot
+    // and `groups` f64 fluxes. Every remote edge carries one item per
+    // epoch in either mode, so the bytes a rank puts on the wire are
+    // fixed by the subgraphs alone.
+    use jsweep::core::program::STREAM_WIRE_OVERHEAD;
+    const HEAD: u64 = 8;
+    let mesh = Arc::new(StructuredMesh::unit(8, 8, 8));
+    let groups = 2u64;
+    let quad = QuadratureSet::sn(2);
+    let mats = Arc::new(MaterialSet::homogeneous(
+        512,
+        Material::uniform(groups as usize, 1.0, 0.5, 1.0),
+    ));
+    let prob = Arc::new(SweepProblem::build(
+        mesh.as_ref(),
+        decompose_structured(&mesh, (4, 4, 4), 2),
+        &quad,
+        &ProblemOptions {
+            share_octant_dags: true,
+            ..Default::default()
+        },
+    ));
+    // Remote edges whose consumer patch lives on another rank, summed
+    // over angles (octant members count their shared subgraphs too).
+    let ranks = &prob.patches;
+    let cross_rank_items: u64 = prob
+        .subs
+        .iter()
+        .flat_map(|subs| subs.iter())
+        .map(|sub| {
+            let rank = ranks.rank_of(sub.patch);
+            sub.rem_dst
+                .iter()
+                .filter(|re| ranks.rank_of(re.patch) != rank)
+                .count() as u64
+        })
+        .sum();
+    assert!(cross_rank_items > 0);
+    for coarsen in [false, true] {
+        let mut cfg = config();
+        cfg.coarsen = coarsen;
+        let sol = solve_parallel(mesh.clone(), prob.clone(), &quad, mats.clone(), &cfg);
+        assert!(sol.iterations >= 2, "need a replay epoch");
+        assert_eq!(sol.coarse_build_seconds > 0.0, coarsen);
+        for (i, s) in sol.stats.iter().enumerate() {
+            assert!(s.streams_sent > 0);
+            assert_eq!(
+                s.bytes_sent,
+                s.streams_sent * (STREAM_WIRE_OVERHEAD as u64 + HEAD)
+                    + cross_rank_items * (4 + 8 * groups),
+                "coarsen = {coarsen}, iteration {i}"
+            );
+        }
+    }
 }
 
 #[test]

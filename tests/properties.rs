@@ -6,7 +6,7 @@
 
 use jsweep::graph::coarse::{build_coarse, ClusterTrace};
 use jsweep::graph::priority::vertex_priorities;
-use jsweep::graph::{dag, PriorityStrategy, Subgraph, SweepState};
+use jsweep::graph::{dag, PriorityStrategy, ReciprocalFaces, Subgraph, SweepState};
 use jsweep::mesh::{partition, tetgen, StructuredMesh, SweepTopology};
 use jsweep::quadrature::{AngleId, QuadratureSet};
 use proptest::prelude::*;
@@ -35,7 +35,7 @@ proptest! {
     ) {
         let mesh = StructuredMesh::unit(nx, ny, nz);
         let (ps, _) = partition::structured_blocks(&mesh, (px, px, px));
-        let subs = Subgraph::build_all(&mesh, &ps, AngleId(0), dir, &HashSet::new());
+        let subs = Subgraph::build_all(&mesh, &ReciprocalFaces::new(&mesh), &ps, AngleId(0), dir, &HashSet::new());
         // Degree balance invariant.
         jsweep::graph::subgraph::check_edge_degree_balance(&subs).unwrap();
         // Internal DAGs are acyclic.
@@ -55,7 +55,7 @@ proptest! {
     ) {
         let mesh = tetgen::ball(half, 1.0);
         let ps = partition::greedy_bfs(&mesh, target);
-        let subs = Subgraph::build_all(&mesh, &ps, AngleId(0), dir, &HashSet::new());
+        let subs = Subgraph::build_all(&mesh, &ReciprocalFaces::new(&mesh), &ps, AngleId(0), dir, &HashSet::new());
         let total = drive_sweep(&subs, 16);
         prop_assert_eq!(total, mesh.num_cells());
     }
@@ -68,7 +68,7 @@ proptest! {
     ) {
         let mesh = StructuredMesh::unit(n, n, n);
         let (ps, _) = partition::structured_blocks(&mesh, (2, 2, 2));
-        let subs = Subgraph::build_all(&mesh, &ps, AngleId(0), dir, &HashSet::new());
+        let subs = Subgraph::build_all(&mesh, &ReciprocalFaces::new(&mesh), &ps, AngleId(0), dir, &HashSet::new());
         let total = drive_sweep(&subs, grain);
         prop_assert_eq!(total, mesh.num_cells());
     }
@@ -81,7 +81,7 @@ proptest! {
     ) {
         let mesh = StructuredMesh::unit(n, n, n);
         let (ps, _) = partition::structured_blocks(&mesh, (3, 3, 3));
-        let subs = Subgraph::build_all(&mesh, &ps, AngleId(0), dir, &HashSet::new());
+        let subs = Subgraph::build_all(&mesh, &ReciprocalFaces::new(&mesh), &ps, AngleId(0), dir, &HashSet::new());
         let traces = trace_sweep(&subs, grain);
         // build_coarse panics on Theorem-1 violations.
         let tasks = build_coarse(&subs, &traces);
